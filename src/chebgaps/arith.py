@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -69,6 +68,3 @@ def crt(residues: list[int], moduli: list[int]) -> int:
 def prime_divisors(n: int) -> list[int]:
     return sorted(factorize(n).keys()) if n > 1 else []
 
-
-def lcm_range(n: int) -> int:
-    return reduce(math.lcm, range(1, n + 1), 1)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .arith import euler_phi, rad
+from .arith import euler_phi
 from .chebsets import GaloisContext
 
 __all__ = [
@@ -126,6 +126,16 @@ def choose_k(ctx: GaloisContext) -> int:
         return 125 * (n + 1)
 
 
+def _gap_and_window(r: Fraction, k: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
+    """825 r^3 e^r, the window 1.6 k log k and log10 of the bound, at 60
+    digits."""
+    with mp.workdps(60):
+        rm = mp.mpf(r.numerator) / r.denominator
+        km = mp.mpf(k)
+        bound = 825 * rm**3 * mp.exp(rm)
+        return bound, mp.mpf("1.6") * km * mp.log(km), mp.log10(bound)
+
+
 class NonabelianGap(NamedTuple):
     bound: float  # 825 r^3 e^r (inf if it overflows float)
     window: float  # 1.6 k log k for the chosen k (inf likewise)
@@ -140,17 +150,13 @@ def gap_bound_nonabelian(ctx: GaloisContext) -> NonabelianGap:
     """
     _require_nonabelian(ctx, "gap_bound_nonabelian")
     r = context_ratio(ctx)
-    k = choose_k(ctx)
-    with mp.workdps(50):
-        rm = mp.mpf(r.numerator) / r.denominator
-        bound = 825 * rm**3 * mp.exp(rm)
-        window = mp.mpf("1.6") * k * mp.log(k)
-        if window > bound:
-            raise AssertionError(
-                f"window 1.6 k log k = {mp.nstr(window)} exceeds "
-                f"825 r^3 e^r = {mp.nstr(bound)} at r = {r}"
-            )
-        return NonabelianGap(float(bound), float(window), float(mp.log10(bound)))
+    bound, window, bound_log10 = _gap_and_window(r, choose_k(ctx))
+    if window > bound:
+        raise AssertionError(
+            f"window 1.6 k log k = {mp.nstr(window)} exceeds "
+            f"825 r^3 e^r = {mp.nstr(bound)} at r = {r}"
+        )
+    return NonabelianGap(float(bound), float(window), float(bound_log10))
 
 
 def gap_bound_abelian(q: int) -> int:
@@ -191,16 +197,14 @@ def verify_theorem1(ctx: GaloisContext) -> BoundReport:
     d = abs(ctx.discriminant)
     theta_exact = Fraction(2, g) - Fraction(2, k * g)
 
+    bound, window, bound_log10 = _gap_and_window(r, k)
     with mp.workdps(60):
-        rm = mp.mpf(r.numerator) / r.denominator
         km = mp.mpf(k)
         mk = mp.log(km) - 2 * mp.log(mp.log(km)) - 2
         theta = mp.mpf(theta_exact.numerator) / theta_exact.denominator
         delta = mp.mpf(ctx.density.numerator) / ctx.density.denominator
         product = delta * theta * euler_phi(d) * mk / (2 * d)
         rk = int(mp.ceil(product)) if product > 0 else 0
-        bound = 825 * rm**3 * mp.exp(rm)
-        window = mp.mpf("1.6") * km * mp.log(km)
         ok = bool(product > 1) and k >= 213 and bool(window <= bound)
         return BoundReport(
             ratio=float(r),
@@ -210,12 +214,5 @@ def verify_theorem1(ctx: GaloisContext) -> BoundReport:
             rk=rk,
             gap_bound=float(bound),
             proof_ok=ok,
-            gap_bound_log10=float(mp.log10(bound)),
+            gap_bound_log10=float(bound_log10),
         )
-
-
-def totient_rad_identity(n: int) -> bool:
-    """phi(rad n)/rad n == phi(n)/n, the reduction used to pass from D to
-    its radical in the sieve moduli."""
-    rn = rad(n)
-    return Fraction(euler_phi(rn), rn) == Fraction(euler_phi(n), n)

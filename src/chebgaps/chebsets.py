@@ -14,7 +14,6 @@ supplied by the caller; the artifact never computes Galois groups itself.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -618,22 +617,27 @@ class NewformCongruence(ChebotarevSpec):
         }
 
 
+def _json_list(d: dict, key: str) -> list:
+    value = d[key]
+    if not isinstance(value, list):
+        raise ValueError(f"spec field {key!r} must be a JSON list, got {value!r}")
+    return value
+
+
 def spec_from_json(d: dict) -> ChebotarevSpec:
+    if not isinstance(d, dict) or not isinstance(d.get("context"), dict):
+        raise ValueError("a spec must be a JSON object with a 'context' object")
     ctx = GaloisContext.from_json(d["context"])
     variant = d["variant"]
     if variant == "congruence":
-        return Congruence(int(d["modulus"]), d["residues"], ctx)
+        return Congruence(int(d["modulus"]), _json_list(d, "residues"), ctx)
     if variant == "factorization_type":
-        return FactorizationType(d["poly"], d["cycle_type"], ctx)
+        return FactorizationType(_json_list(d, "poly"), _json_list(d, "cycle_type"), ctx)
     if variant == "quad_form":
         return QuadFormRep(int(d["a"]), int(d["b"]), int(d["c"]), ctx)
     if variant == "newform_congruence":
         return NewformCongruence(int(d["d"]), int(d["target"]), int(d["level"]), ctx)
     raise ValueError(f"unknown spec variant: {variant!r}")
-
-
-def spec_to_json_str(spec: ChebotarevSpec) -> str:
-    return json.dumps(spec.to_json(), indent=2)
 
 
 ALL_PRIMES_CONTEXT = GaloisContext(1, 1, 1, abelian_conductor=1)

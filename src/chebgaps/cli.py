@@ -19,7 +19,7 @@ from . import __version__
 from .admissible import Tuple, diameter, is_admissible, shifted_prime_tuple
 from .bounds import gap_bound_abelian, verify_theorem1
 from .chebsets import GaloisContext, spec_from_json
-from .gapscan import report_csv_row, scan, REPORT_FIELDS
+from .gapscan import scan, write_scan_csv
 from .primes import verify_dusart
 from .sieve import config_from_json, run_to_json
 from .variational import optimize_rayleigh, simplified_mk_bound
@@ -45,13 +45,21 @@ def _manifest(args, command: str) -> RunManifest:
     )
 
 
-def _emit(payload: dict, manifest: RunManifest, args, table: str | None = None) -> None:
+def _emit(
+    payload: dict, manifest: RunManifest, args, table: str | None = None, write_out=None
+) -> None:
+    """Write --out, then print the JSON payload, or the table when one is
+    given and --json is not set. --out holds the JSON payload unless
+    write_out(path) writes the command's own format."""
     payload = dict(payload)
     payload["manifest"] = asdict(manifest)
     text = json.dumps(payload, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        if write_out is not None:
+            write_out(args.out)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
     if getattr(args, "json", False) or table is None:
         print(text)
     else:
@@ -60,7 +68,10 @@ def _emit(payload: dict, manifest: RunManifest, args, table: str | None = None) 
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    return obj
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -126,31 +137,25 @@ def cmd_scan(args) -> int:
     spec = spec_from_json(_load_json(args.config))
     manifest = _manifest(args, "scan")
     rep = scan(spec, args.x, args.bound, threads=args.threads)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("# manifest: " + json.dumps(asdict(manifest)) + "\n")
-            fh.write(",".join(REPORT_FIELDS) + "\n")
-            fh.write(",".join(str(v) for v in report_csv_row(rep)) + "\n")
-        hist_path = args.out + ".hist.csv"
-        with open(hist_path, "w", newline="") as fh:
-            fh.write("# manifest: " + json.dumps(asdict(manifest)) + "\n")
-            fh.write("gap,count\n")
-            for g in sorted(rep.histogram):
-                fh.write(f"{g},{rep.histogram[g]}\n")
-    payload = rep.to_json()
-    payload["manifest"] = asdict(manifest)
-    if args.json or not args.out:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"{rep.spec_id}: {rep.prime_count} members <= {rep.x_limit}, "
-            f"min gap {rep.min_gap} at {rep.min_gap_pair}, "
-            f"{rep.pairs_within_bound} pairs within {rep.bound_used}"
-        )
+    table = (
+        f"{rep.spec_id}: {rep.prime_count} members <= {rep.x_limit}, "
+        f"min gap {rep.min_gap} at {rep.min_gap_pair}, "
+        f"{rep.pairs_within_bound} pairs within {rep.bound_used}"
+    )
+    # the summary line stands in for the payload only beside a CSV on disk
+    _emit(
+        rep.to_json(),
+        manifest,
+        args,
+        table=table if args.out else None,
+        write_out=lambda path: write_scan_csv(rep, path, asdict(manifest)),
+    )
     return 0
 
 
 def cmd_sieve(args) -> int:
+    if not math.isfinite(args.rho):
+        raise ValueError(f"--rho must be finite, got {args.rho}")
     cfg, spec = config_from_json(_load_json(args.config))
     if spec is None:
         raise ValueError("sieve config needs a 'spec' entry")

@@ -8,7 +8,7 @@ members of the set, never between arbitrary pairs.
 
 from __future__ import annotations
 
-import csv
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -220,9 +220,15 @@ REPORT_FIELDS = [
 ]
 
 
-def report_csv_row(report: GapReport) -> list:
+def write_scan_csv(report: GapReport, path: str, manifest: dict) -> None:
+    """The report row at path and the gap histogram at path + ".hist.csv".
+
+    Each file opens with a single "# manifest: {...}" comment line and uses
+    LF line endings.
+    """
+    head = "# manifest: " + json.dumps(manifest) + "\n"
     p1, p2 = report.min_gap_pair if report.min_gap_pair else ("", "")
-    return [
+    row = [
         report.spec_id,
         report.x_limit,
         report.prime_count,
@@ -232,18 +238,12 @@ def report_csv_row(report: GapReport) -> list:
         report.pairs_within_bound,
         report.bound_used,
     ]
-
-
-def write_report_csv(report: GapReport, path: str) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPORT_FIELDS)
-        w.writerow(report_csv_row(report))
-
-
-def write_histogram_csv(report: GapReport, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gap", "count"])
+        fh.write(head)
+        fh.write(",".join(REPORT_FIELDS) + "\n")
+        fh.write(",".join(str(v) for v in row) + "\n")
+    with open(path + ".hist.csv", "w", newline="") as fh:
+        fh.write(head)
+        fh.write("gap,count\n")
         for gap in sorted(report.histogram):
-            w.writerow([gap, report.histogram[gap]])
+            fh.write(f"{gap},{report.histogram[gap]}\n")

@@ -254,7 +254,7 @@ def lambda_table(cfg: SieveConfig) -> dict[tuple[int, ...], Fraction]:
 
 @dataclass(frozen=True)
 class WeightTable:
-    entries: dict  # n -> w_n, exact Fraction (or float in floating mode)
+    entries: dict  # n -> w_n, exact Fraction
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -269,9 +269,7 @@ def _divisor_candidates(m: int, cfg: SieveConfig) -> list[int]:
     return sorted(divs)
 
 
-def _weights_for_range(
-    cfg: SieveConfig, lams: dict, n_lo: int, n_hi: int, exact: bool
-) -> dict:
+def _weights_for_range(cfg: SieveConfig, lams: dict, n_lo: int, n_hi: int) -> dict:
     hs = list(cfg.tuple)
     u = cfg.u_modulus
     first = n_lo + (cfg.u0 - n_lo) % u
@@ -294,17 +292,15 @@ def _weights_for_range(
                     rec(i + 1, prod * d, vec + (d,))
 
         rec(0, 1, ())
-        w = acc * acc
-        entries[n] = w if exact else float(w)
+        entries[n] = acc * acc
     return entries
 
 
 def _chunk_worker(args):
-    cfg, lams, lo, hi, exact = args
-    return _weights_for_range(cfg, lams, lo, hi, exact)
+    return _weights_for_range(*args)
 
 
-def weight_table(cfg: SieveConfig, exact: bool = True, threads: int = 1) -> WeightTable:
+def weight_table(cfg: SieveConfig, threads: int = 1) -> WeightTable:
     """w_n over n = u0 mod U in [N, 2N).
 
     The lambda memo is built once, sequentially; with threads > 1 the range
@@ -314,10 +310,10 @@ def weight_table(cfg: SieveConfig, exact: bool = True, threads: int = 1) -> Weig
     lams = lambda_table(cfg)
     n_lo, n_hi = cfg.n_start, 2 * cfg.n_start
     if threads <= 1:
-        return WeightTable(_weights_for_range(cfg, lams, n_lo, n_hi, exact))
+        return WeightTable(_weights_for_range(cfg, lams, n_lo, n_hi))
     step = math.ceil((n_hi - n_lo) / threads)
     jobs = [
-        (cfg, lams, lo, min(lo + step, n_hi), exact)
+        (cfg, lams, lo, min(lo + step, n_hi))
         for lo in range(n_lo, n_hi, step)
     ]
     entries: dict = {}
@@ -327,38 +323,34 @@ def weight_table(cfg: SieveConfig, exact: bool = True, threads: int = 1) -> Weig
     return WeightTable(entries)
 
 
-def sum_s1(cfg: SieveConfig, table: WeightTable | None = None) -> Fraction:
+def sum_s1(cfg: SieveConfig, table: WeightTable) -> Fraction:
     """S1 = sum of w_n, exact."""
-    if table is None:
-        table = weight_table(cfg)
     return sum(table.entries.values(), Fraction(0))
 
 
-def _membership_mask(cfg: SieveConfig, spec: ChebotarevSpec):
-    limit = 2 * cfg.n_start + max(cfg.tuple) + 1
-    pt = PrimeTable(limit)
-
-    def chi(x: int) -> bool:
-        return pt.is_prime(x) and spec.is_member(x)
-
-    return chi
-
-
-def sum_s2(
-    cfg: SieveConfig, spec: ChebotarevSpec, table: WeightTable | None = None
-) -> Fraction:
-    """S2 = sum over m and n of chi_P(n + h_m) w_n, exact."""
-    if table is None:
-        table = weight_table(cfg)
-    chi = _membership_mask(cfg, spec)
+def _hit_counts(cfg: SieveConfig, spec: ChebotarevSpec, table: WeightTable) -> list[int]:
+    """#{m : n + h_m is a member of the set} for each n of the table, in
+    table order (a list, not a dict keyed by n, to keep the run's peak
+    memory down)."""
+    pt = PrimeTable(2 * cfg.n_start + max(cfg.tuple) + 1)
     hs = list(cfg.tuple)
+    return [
+        sum(1 for h in hs if pt.is_prime(n + h) and spec.is_member(n + h))
+        for n in table.entries
+    ]
+
+
+def _s2_from_hits(table: WeightTable, hits: list[int]) -> Fraction:
     total = Fraction(0)
-    for n, w in table.entries.items():
-        if w:
-            hits = sum(1 for h in hs if chi(n + h))
-            if hits:
-                total += hits * w
+    for w, c in zip(table.entries.values(), hits):
+        if w and c:
+            total += c * w
     return total
+
+
+def sum_s2(cfg: SieveConfig, spec: ChebotarevSpec, table: WeightTable) -> Fraction:
+    """S2 = sum over m and n of chi_P(n + h_m) w_n, exact."""
+    return _s2_from_hits(table, _hit_counts(cfg, spec, table))
 
 
 def predicted_terms(cfg: SieveConfig, spec: ChebotarevSpec) -> tuple[float, float]:
@@ -418,16 +410,11 @@ def s_functional(
     every such n regardless of the sign of S."""
     rho = Fraction(rho)
     table = weight_table(cfg, threads=threads)
+    hits = _hit_counts(cfg, spec, table)
     s1 = sum_s1(cfg, table)
-    s2 = sum_s2(cfg, spec, table)
-    chi = _membership_mask(cfg, spec)
-    hs = list(cfg.tuple)
+    s2 = _s2_from_hits(table, hits)
     threshold = math.floor(rho + 1)
-    windows = tuple(
-        (n, hits)
-        for n in table.entries
-        if (hits := sum(1 for h in hs if chi(n + h))) >= threshold
-    )
+    windows = tuple((n, c) for n, c in zip(table.entries, hits) if c >= threshold)
     return SResult(s2 - rho * s1, s1, s2, rho, threshold, windows)
 
 

@@ -8,7 +8,6 @@ from chebgaps.arith import (
     euler_phi,
     factorize,
     is_squarefree,
-    lcm_range,
     mobius,
     prime_divisors,
     rad,
@@ -62,8 +61,6 @@ def test_crt():
         crt([0, 1], [4, 6])  # moduli share a factor
 
 
-def test_prime_divisors_and_lcm():
+def test_prime_divisors():
     assert prime_divisors(60) == [2, 3, 5]
     assert prime_divisors(1) == []
-    assert lcm_range(1) == 1
-    assert lcm_range(10) == 2520

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 import chebgaps.bounds as bounds
-from chebgaps.arith import euler_phi
+from chebgaps.arith import euler_phi, rad
 from chebgaps.bounds import (
     CeilingIndeterminate,
     choose_k,
@@ -15,7 +15,6 @@ from chebgaps.bounds import (
     gap_bound_abelian,
     gap_bound_nonabelian,
     level_of_distribution,
-    totient_rad_identity,
     verify_theorem1,
 )
 from chebgaps.chebsets import GaloisContext
@@ -245,4 +244,4 @@ def test_totient_rad_identity_exhaustive():
     for _ in range(200):
         n = rng.randint(1, limit)
         assert euler_phi(n) == phi[n]
-        assert totient_rad_identity(n)
+        assert rad(n) == radt[n]

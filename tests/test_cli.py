@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from chebgaps import __version__
 from chebgaps.admissible import Tuple
-from chebgaps.chebsets import Congruence, GaloisContext, all_primes_spec
+from chebgaps.chebsets import Congruence, GaloisContext, all_primes_spec, spec_from_json
 from chebgaps.cli import main
-from chebgaps.sieve import build_config, sum_s1
+from chebgaps.gapscan import scan, write_scan_csv
+from chebgaps.sieve import build_config, sum_s1, weight_table
 
 S3_JSON = {"group_order": 6, "class_size": 6, "discriminant": 1, "abelian_conductor": None}
 MOD8_ABELIAN = {"group_order": 2, "class_size": 1, "discriminant": 1, "abelian_conductor": 8}
@@ -97,6 +99,26 @@ def test_scan_csv_and_stdout(tmp_path, capsys):
     assert hist_lines[2] == "8,7"
 
 
+def test_scan_out_is_the_shared_writer(tmp_path):
+    cfg = write_json(tmp_path, "spec.json", scan_spec_json())
+    out = str(tmp_path / "scan.csv")
+    assert main(["scan", "--config", cfg, "--x", "1000", "--bound", "4800", "--out", out]) == 0
+    manifest = {
+        "command": "scan",
+        "config_path": cfg,
+        "output_path": out,
+        "seed": 0,
+        "version": __version__,
+    }
+    ref = str(tmp_path / "ref.csv")
+    write_scan_csv(scan(spec_from_json(scan_spec_json()), 1000, 4800), ref, manifest)
+    for suffix in ("", ".hist.csv"):
+        got = open(out + suffix, "rb").read()
+        assert got == open(ref + suffix, "rb").read()
+        assert b"\r" not in got
+        assert got.startswith(b"# manifest: " + json.dumps(manifest).encode() + b"\n")
+
+
 def test_scan_json_stdout(tmp_path, capsys):
     cfg = write_json(tmp_path, "spec.json", scan_spec_json())
     assert main(["scan", "--config", cfg, "--x", "1000", "--bound", "4800"]) == 0
@@ -128,7 +150,7 @@ def test_sieve_run(tmp_path, capsys):
     path = write_json(tmp_path, "sieve.json", d)
     assert main(["sieve", "--config", path, "--json"]) == 0
     payload = out_json(capsys)
-    assert Fraction(payload["s1"]) == sum_s1(cfg)
+    assert Fraction(payload["s1"]) == sum_s1(cfg, weight_table(cfg))
     assert Fraction(payload["s_value"]) > 0
     assert payload["windows"]
 
@@ -204,6 +226,21 @@ def test_bad_config_paths(tmp_path, capsys):
     garbage.write_text("{not json")
     assert main(["bounds", "--config", str(garbage)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_input_exits_2(tmp_path, capsys):
+    _, d = sieve_config_json()
+    sieve_cfg = write_json(tmp_path, "sieve.json", d)
+    assert main(["sieve", "--config", sieve_cfg, "--rho", "inf"]) == 2
+    assert "--rho must be finite" in capsys.readouterr().err
+    listed = write_json(tmp_path, "list.json", [S3_JSON])
+    assert main(["bounds", "--config", listed]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    spec = scan_spec_json()
+    spec["residues"] = 5
+    bad_spec = write_json(tmp_path, "spec.json", spec)
+    assert main(["scan", "--config", bad_spec, "--x", "1000", "--bound", "4800"]) == 2
+    assert "'residues' must be a JSON list" in capsys.readouterr().err
 
 
 def test_unknown_command():

@@ -1,4 +1,4 @@
-import csv
+import json
 
 import pytest
 
@@ -10,8 +10,7 @@ from chebgaps.gapscan import (
     scan,
     scan_m_tuples,
     tau_gap_scan,
-    write_histogram_csv,
-    write_report_csv,
+    write_scan_csv,
 )
 from chebgaps.primes import sieve_range
 
@@ -175,24 +174,35 @@ def test_tau_gap_scan_mod691():
 # -- CSV boundary -------------------------------------------------------------------
 
 
+MANIFEST = {"command": "scan", "seed": 0}
+
+
 def test_report_csv(tmp_path):
     r = scan(mod8_spec(), 10**3, 4800)
     path = tmp_path / "report.csv"
-    write_report_csv(r, str(path))
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == REPORT_FIELDS
-    assert rows[1] == ["congruence_q8_3", "1000", "44", "8", "3", "11", "43", "4800"]
+    write_scan_csv(r, str(path), MANIFEST)
+    text = path.read_bytes().decode()
+    assert "\r" not in text
+    lines = text.split("\n")
+    assert lines[0] == "# manifest: " + json.dumps(MANIFEST)
+    assert lines[1].split(",") == REPORT_FIELDS
+    assert lines[2].split(",") == ["congruence_q8_3", "1000", "44", "8", "3", "11", "43", "4800"]
+    assert lines[3:] == [""]
 
 
 def test_histogram_csv(tmp_path):
     r = scan(mod8_spec(), 10**3, 4800)
-    path = tmp_path / "hist.csv"
-    write_histogram_csv(r, str(path))
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["gap", "count"]
-    gaps = [int(a) for a, _ in rows[1:]]
+    path = tmp_path / "report.csv"
+    write_scan_csv(r, str(path), MANIFEST)
+    text = (tmp_path / "report.csv.hist.csv").read_bytes().decode()
+    assert "\r" not in text
+    lines = text.splitlines()
+    assert lines[0] == "# manifest: " + json.dumps(MANIFEST)
+    assert lines[1] == "gap,count"
+    rows = [line.split(",") for line in lines[2:]]
+    gaps = [int(a) for a, _ in rows]
     assert gaps == sorted(gaps)
-    assert sum(int(c) for _, c in rows[1:]) == 43
+    assert sum(int(c) for _, c in rows) == 43
 
 
 def test_report_json_shape():

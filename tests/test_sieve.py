@@ -4,8 +4,10 @@ from itertools import product
 
 import pytest
 
+import chebgaps.sieve as sieve
 from chebgaps.admissible import Tuple
 from chebgaps.chebsets import GaloisContext, all_primes_spec
+from chebgaps.primes import PrimeTable
 from chebgaps.sieve import (
     SieveConfig,
     build_config,
@@ -294,8 +296,10 @@ def test_quadratic_scaling():
         f=cfg.f.scale(3),
         d0_override=3,
     )
-    assert sum_s1(scaled) == 9 * sum_s1(cfg)
-    assert sum_s2(scaled, all_primes_spec()) == 9 * sum_s2(cfg, all_primes_spec())
+    table, scaled_table = weight_table(cfg), weight_table(scaled)
+    assert sum_s1(scaled, scaled_table) == 9 * sum_s1(cfg, table)
+    spec = all_primes_spec()
+    assert sum_s2(scaled, spec, scaled_table) == 9 * sum_s2(cfg, spec, table)
 
 
 def test_parallel_matches_sequential():
@@ -303,16 +307,6 @@ def test_parallel_matches_sequential():
     seq = weight_table(cfg, threads=1)
     par = weight_table(cfg, threads=3)
     assert seq.entries == par.entries
-
-
-def test_float_mode():
-    cfg = small_config()
-    exact = weight_table(cfg, exact=True)
-    fl = weight_table(cfg, exact=False)
-    assert set(exact.entries) == set(fl.entries)
-    for n, w in fl.entries.items():
-        assert isinstance(w, float)
-        assert w == pytest.approx(float(exact.entries[n]), abs=1e-12)
 
 
 # -- the S functional ---------------------------------------------------------------
@@ -334,6 +328,21 @@ def test_s_functional_certifies_pairs():
     assert s_functional(cfg, spec, Fraction(3, 2)).threshold == 2
 
 
+def test_s_functional_builds_one_prime_table(monkeypatch):
+    cfg = small_config()
+    built = []
+
+    def counting_table(limit):
+        built.append(limit)
+        return PrimeTable(limit)
+
+    monkeypatch.setattr(sieve, "PrimeTable", counting_table)
+    res = s_functional(cfg, all_primes_spec(), 1)
+    assert len(built) == 1
+    table = weight_table(cfg)
+    assert res.s2 == sum_s2(cfg, all_primes_spec(), table)
+
+
 def test_windows_complete():
     cfg = small_config()
     res = s_functional(cfg, all_primes_spec(), 1)
@@ -350,7 +359,8 @@ def test_predicted_terms_sanity():
     assert pred_s1 > 0 and pred_s2 > 0
     # individual main terms are way off at N = 1000, but the frame factor
     # cancels in the ratio, which lands within a small factor of observed
-    observed = float(sum_s2(cfg, spec)) / float(sum_s1(cfg))
+    table = weight_table(cfg)
+    observed = float(sum_s2(cfg, spec, table)) / float(sum_s1(cfg, table))
     assert 0.1 < (pred_s2 / pred_s1) / observed < 10
     mismatched = GaloisContext(2, 1, 5, abelian_conductor=5)
     from chebgaps.chebsets import Congruence
@@ -380,7 +390,7 @@ def test_config_json_round_trip():
 def test_run_to_json():
     cfg = small_config()
     out = run_to_json(cfg, all_primes_spec(), rho=1)
-    assert Fraction(out["s1"]) == sum_s1(cfg)
+    assert Fraction(out["s1"]) == sum_s1(cfg, weight_table(cfg))
     assert Fraction(out["s_value"]) == Fraction(out["s2"]) - Fraction(out["s1"])
     assert out["ratio_observed"] == pytest.approx(
         float(Fraction(out["s2"]) / Fraction(out["s1"]))
