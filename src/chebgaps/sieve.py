@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .admissible import Tuple, is_admissible
@@ -255,6 +255,9 @@ def lambda_table(cfg: SieveConfig) -> dict[tuple[int, ...], Fraction]:
 @dataclass(frozen=True)
 class WeightTable:
     entries: dict  # n -> w_n, exact Fraction
+    # [cfg, spec, hit counts] of the last membership pass over this table, so
+    # that one pass serves both sum_s2 and s_functional's window list
+    _last_pass: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -331,26 +334,28 @@ def sum_s1(cfg: SieveConfig, table: WeightTable) -> Fraction:
 def _hit_counts(cfg: SieveConfig, spec: ChebotarevSpec, table: WeightTable) -> list[int]:
     """#{m : n + h_m is a member of the set} for each n of the table, in
     table order (a list, not a dict keyed by n, to keep the run's peak
-    memory down)."""
+    memory down). A second call with the same cfg and spec reuses the pass
+    kept on the table."""
+    last = table._last_pass
+    if last and last[0] is cfg and last[1] is spec:
+        return last[2]
     pt = PrimeTable(2 * cfg.n_start + max(cfg.tuple) + 1)
     hs = list(cfg.tuple)
-    return [
+    hits = [
         sum(1 for h in hs if pt.is_prime(n + h) and spec.is_member(n + h))
         for n in table.entries
     ]
-
-
-def _s2_from_hits(table: WeightTable, hits: list[int]) -> Fraction:
-    total = Fraction(0)
-    for w, c in zip(table.entries.values(), hits):
-        if w and c:
-            total += c * w
-    return total
+    last[:] = [cfg, spec, hits]
+    return hits
 
 
 def sum_s2(cfg: SieveConfig, spec: ChebotarevSpec, table: WeightTable) -> Fraction:
     """S2 = sum over m and n of chi_P(n + h_m) w_n, exact."""
-    return _s2_from_hits(table, _hit_counts(cfg, spec, table))
+    total = Fraction(0)
+    for w, c in zip(table.entries.values(), _hit_counts(cfg, spec, table)):
+        if w and c:
+            total += c * w
+    return total
 
 
 def predicted_terms(cfg: SieveConfig, spec: ChebotarevSpec) -> tuple[float, float]:
@@ -410,9 +415,9 @@ def s_functional(
     every such n regardless of the sign of S."""
     rho = Fraction(rho)
     table = weight_table(cfg, threads=threads)
-    hits = _hit_counts(cfg, spec, table)
     s1 = sum_s1(cfg, table)
-    s2 = _s2_from_hits(table, hits)
+    s2 = sum_s2(cfg, spec, table)
+    hits = _hit_counts(cfg, spec, table)  # the pass sum_s2 just made
     threshold = math.floor(rho + 1)
     windows = tuple((n, c) for n, c in zip(table.entries, hits) if c >= threshold)
     return SResult(s2 - rho * s1, s1, s2, rho, threshold, windows)

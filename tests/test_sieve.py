@@ -343,6 +343,31 @@ def test_s_functional_builds_one_prime_table(monkeypatch):
     assert res.s2 == sum_s2(cfg, all_primes_spec(), table)
 
 
+def test_s_functional_tests_each_shift_once(monkeypatch):
+    """One membership pass, made inside sum_s2 (the traced benchmark times
+    S2 through that name), serves both S2 and the window list."""
+    cfg = small_config()
+    spec = all_primes_spec()
+    asked, s2_calls = [], []
+    is_member, real_sum_s2 = type(spec).is_member, sieve.sum_s2
+
+    def counting_member(self, p):
+        asked.append(p)
+        return is_member(self, p)
+
+    def counting_sum_s2(*args):
+        s2_calls.append(len(asked))
+        return real_sum_s2(*args)
+
+    monkeypatch.setattr(type(spec), "is_member", counting_member)
+    monkeypatch.setattr(sieve, "sum_s2", counting_sum_s2)
+    res = s_functional(cfg, spec, 1)
+    shifted = [n + h for n in weight_table(cfg).entries for h in cfg.tuple]
+    assert s2_calls == [0]
+    assert sorted(asked) == sorted(x for x in shifted if t_is_prime(x))
+    assert res.windows
+
+
 def test_windows_complete():
     cfg = small_config()
     res = s_functional(cfg, all_primes_spec(), 1)
