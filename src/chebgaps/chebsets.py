@@ -68,13 +68,15 @@ class GaloisContext:
 
     @classmethod
     def from_json(cls, d: dict) -> "GaloisContext":
+        if not isinstance(d, dict):
+            raise ValueError(f"a context must be a JSON object, got {d!r}")
         return cls(
-            group_order=int(d["group_order"]),
-            class_size=int(d["class_size"]),
-            discriminant=int(d["discriminant"]),
+            group_order=json_number(d, "group_order"),
+            class_size=json_number(d, "class_size"),
+            discriminant=json_number(d, "discriminant"),
             abelian_conductor=None
             if d.get("abelian_conductor") is None
-            else int(d["abelian_conductor"]),
+            else json_number(d, "abelian_conductor"),
         )
 
 
@@ -617,11 +619,22 @@ class NewformCongruence(ChebotarevSpec):
         }
 
 
-def _json_list(d: dict, key: str) -> list:
+def json_list(d: dict, key: str) -> list:
+    """d[key], which must be a JSON list."""
     value = d[key]
     if not isinstance(value, list):
-        raise ValueError(f"spec field {key!r} must be a JSON list, got {value!r}")
+        raise ValueError(f"field {key!r} must be a JSON list, got {value!r}")
     return value
+
+
+def json_number(d: dict, key: str, kind=int):
+    """kind(d[key]); a null, list or object there raises ValueError, not
+    TypeError, so the CLI reports it as bad input."""
+    value = d[key]
+    try:
+        return kind(value)
+    except TypeError:
+        raise ValueError(f"field {key!r} must be a number, got {value!r}") from None
 
 
 def spec_from_json(d: dict) -> ChebotarevSpec:
@@ -630,13 +643,15 @@ def spec_from_json(d: dict) -> ChebotarevSpec:
     ctx = GaloisContext.from_json(d["context"])
     variant = d["variant"]
     if variant == "congruence":
-        return Congruence(int(d["modulus"]), _json_list(d, "residues"), ctx)
+        return Congruence(json_number(d, "modulus"), json_list(d, "residues"), ctx)
     if variant == "factorization_type":
-        return FactorizationType(_json_list(d, "poly"), _json_list(d, "cycle_type"), ctx)
+        return FactorizationType(json_list(d, "poly"), json_list(d, "cycle_type"), ctx)
     if variant == "quad_form":
-        return QuadFormRep(int(d["a"]), int(d["b"]), int(d["c"]), ctx)
+        a, b, c = (json_number(d, key) for key in ("a", "b", "c"))
+        return QuadFormRep(a, b, c, ctx)
     if variant == "newform_congruence":
-        return NewformCongruence(int(d["d"]), int(d["target"]), int(d["level"]), ctx)
+        dd, target, level = (json_number(d, key) for key in ("d", "target", "level"))
+        return NewformCongruence(dd, target, level, ctx)
     raise ValueError(f"unknown spec variant: {variant!r}")
 
 

@@ -34,7 +34,13 @@ from fractions import Fraction
 
 from .admissible import Tuple, is_admissible
 from .arith import crt, euler_phi, is_squarefree, mobius, prime_divisors, rad
-from .chebsets import ChebotarevSpec, GaloisContext, spec_from_json
+from .chebsets import (
+    ChebotarevSpec,
+    GaloisContext,
+    json_list,
+    json_number,
+    spec_from_json,
+)
 from .primes import PrimeTable, primorial_below
 from .variational import SimplexPolynomial, integral_I, integral_J_sum
 
@@ -440,20 +446,21 @@ def paper_rho(ctx: GaloisContext, theta, mk, epsilon) -> Fraction:
 def config_from_json(d: dict) -> tuple[SieveConfig, ChebotarevSpec | None]:
     """Parse {n_start, k, tuple, theta, epsilon, d0, f, context, spec}."""
     ctx = GaloisContext.from_json(d["context"])
+    k = json_number(d, "k")
     f = None
     if d.get("f") is not None:
         f = SimplexPolynomial.from_symmetric(
-            int(d["k"]), {tuple(part): Fraction(c) for part, c in d["f"]}
+            k, {tuple(part): Fraction(c) for part, c in d["f"]}
         )
     cfg = build_config(
-        n_start=int(d["n_start"]),
-        k=int(d["k"]),
-        tup=Tuple(d["tuple"]),
+        n_start=json_number(d, "n_start"),
+        k=k,
+        tup=Tuple(json_list(d, "tuple")),
         context=ctx,
-        theta=float(d["theta"]),
-        epsilon=float(d["epsilon"]),
+        theta=json_number(d, "theta", float),
+        epsilon=json_number(d, "epsilon", float),
         f=f,
-        d0_override=None if d.get("d0") is None else float(d["d0"]),
+        d0_override=None if d.get("d0") is None else json_number(d, "d0", float),
     )
     spec = spec_from_json(d["spec"]) if d.get("spec") is not None else None
     return cfg, spec

@@ -241,6 +241,18 @@ def test_bad_input_exits_2(tmp_path, capsys):
     bad_spec = write_json(tmp_path, "spec.json", spec)
     assert main(["scan", "--config", bad_spec, "--x", "1000", "--bound", "4800"]) == 2
     assert "'residues' must be a JSON list" in capsys.readouterr().err
+    # null or mistyped fields are rejected where the JSON is parsed
+    spec = scan_spec_json()
+    spec["modulus"] = None
+    null_modulus = write_json(tmp_path, "spec_null.json", spec)
+    assert main(["scan", "--config", null_modulus, "--x", "1000", "--bound", "4800"]) == 2
+    assert "'modulus' must be a number" in capsys.readouterr().err
+    null_order = write_json(tmp_path, "ctx_null.json", {**S3_JSON, "group_order": None})
+    assert main(["bounds", "--config", null_order]) == 2
+    assert "'group_order' must be a number" in capsys.readouterr().err
+    bad_tuple = write_json(tmp_path, "sieve_tuple.json", {**d, "tuple": 5})
+    assert main(["sieve", "--config", bad_tuple]) == 2
+    assert "'tuple' must be a JSON list" in capsys.readouterr().err
 
 
 def test_unknown_command():

@@ -7,6 +7,7 @@ import pytest
 
 from chebgaps.variational import (
     SimplexPolynomial,
+    _gram_matrices,
     _pair_weight,
     integral_I,
     integral_J,
@@ -254,6 +255,25 @@ def test_symmetric_basis_matches_closed_form():
                 assert g.evaluate(pt) == (1 - p1) ** a * p2**b
     with pytest.raises(ValueError):
         symmetric_basis(2, -1)
+
+
+def test_gram_matrices_match_arrangement_pair_integrals():
+    # the optimizer's closed-form Gram against the independent arrangement-pair
+    # integrals: c^T I c == I(F) and c^T J c == sum_i J^i(F) for F = sum c_u e_u
+    rng = random.Random(43)
+    for k, degree in [(2, 3), (7, 5), (105, 4), (105, 6)]:
+        basis = symmetric_basis(k, degree)
+        gram_i, gram_j = _gram_matrices(k, [ab for ab, _ in basis])
+        pairs = [(u, v) for u in range(len(basis)) for v in range(len(basis))]
+        for _ in range(3):
+            c = [rng.randint(-5, 5) for _ in basis]
+            terms = {}
+            for cu, (_, elt) in zip(c, basis):
+                for lam, cl in elt.items():
+                    terms[lam] = terms.get(lam, 0) + cu * cl
+            f = SimplexPolynomial.from_symmetric(k, terms)
+            assert sum(c[u] * c[v] * gram_i[u][v] for u, v in pairs) == integral_I(f)
+            assert sum(c[u] * c[v] * gram_j[u][v] for u, v in pairs) == integral_J_sum(f)
 
 
 def test_optimize_rayleigh_frozen_values():
