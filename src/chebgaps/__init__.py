@@ -21,11 +21,8 @@ from .bounds import (
     BoundReport,
     CeilingIndeterminate,
     choose_k,
-    compute_rk,
     context_ratio,
     gap_bound_abelian,
-    gap_bound_nonabelian,
-    level_of_distribution,
     verify_theorem1,
 )
 from .chebsets import (
@@ -37,18 +34,16 @@ from .chebsets import (
     NewformCongruence,
     QuadFormRep,
     all_primes_spec,
-    bv_discrepancy,
     empirical_density,
     factorization_type,
     members_in_segment,
     spec_from_json,
     tau_mod_stream,
 )
-from .gapscan import GapReport, MTupleReport, scan, scan_m_tuples, tau_gap_scan
+from .gapscan import GapReport, scan, tau_gap_scan
 from .primes import (
     DusartReport,
     PrimeTable,
-    nth_prime,
     prime_count,
     sieve_range,
     verify_dusart,
@@ -58,7 +53,6 @@ from .sieve import (
     SResult,
     build_config,
     lambda_weight,
-    paper_rho,
     predicted_terms,
     s_functional,
     sum_s1,
@@ -71,7 +65,6 @@ from .variational import (
     integral_I,
     integral_J,
     integral_J_sum,
-    mk_lower_bound,
     optimize_rayleigh,
     rayleigh,
     simplified_mk_bound,
@@ -90,7 +83,6 @@ __all__ = [
     "FactorizationType",
     "GaloisContext",
     "GapReport",
-    "MTupleReport",
     "NewformCongruence",
     "PrimeTable",
     "QuadFormRep",
@@ -101,9 +93,7 @@ __all__ = [
     "Tuple",
     "all_primes_spec",
     "build_config",
-    "bv_discrepancy",
     "choose_k",
-    "compute_rk",
     "context_ratio",
     "crt",
     "diameter",
@@ -112,27 +102,21 @@ __all__ = [
     "factorization_type",
     "factorize",
     "gap_bound_abelian",
-    "gap_bound_nonabelian",
     "integral_I",
     "integral_J",
     "integral_J_sum",
     "is_admissible",
     "is_squarefree",
     "lambda_weight",
-    "level_of_distribution",
     "members_in_segment",
-    "mk_lower_bound",
     "mobius",
-    "nth_prime",
     "optimize_rayleigh",
-    "paper_rho",
     "predicted_terms",
     "prime_count",
     "rad",
     "rayleigh",
     "s_functional",
     "scan",
-    "scan_m_tuples",
     "shifted_prime_tuple",
     "sieve_range",
     "simplified_mk_bound",

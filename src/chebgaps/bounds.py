@@ -19,10 +19,8 @@ only meaningful for positive arguments, and field discriminants carry sign.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import mpmath as mp
 
@@ -32,14 +30,9 @@ from .chebsets import GaloisContext
 __all__ = [
     "BoundReport",
     "CeilingIndeterminate",
-    "NonabelianGap",
     "choose_k",
-    "compute_rk",
     "context_ratio",
-    "euler_phi",
     "gap_bound_abelian",
-    "gap_bound_nonabelian",
-    "level_of_distribution",
     "verify_theorem1",
 ]
 
@@ -85,21 +78,11 @@ def context_ratio(ctx: GaloisContext) -> Fraction:
     return Fraction(ctx.group_order**2 * d, ctx.class_size * euler_phi(d))
 
 
-def level_of_distribution(ctx: GaloisContext, epsilon: float) -> float:
-    """theta = 2/|G| - epsilon; valid for |G| >= 4 and 0 <= epsilon < 2/|G|."""
-    g = ctx.group_order
-    if g < 4:
-        raise ValueError(f"level of distribution needs group order >= 4, got {g}")
-    if not 0 <= epsilon < 2 / g:
-        raise ValueError(f"need 0 <= epsilon < 2/|G| = {2 / g}, got {epsilon}")
-    return 2 / g - epsilon
-
-
 def _require_nonabelian(ctx: GaloisContext, op: str) -> None:
     if ctx.is_abelian:
         raise ValueError(f"{op} applies to nonabelian contexts; use gap_bound_abelian")
-    # smallest nonabelian group has order 6, and the level-of-distribution
-    # input needs |G| >= 4 anyway
+    # the smallest nonabelian group has order 6, which also covers the
+    # |G| >= 4 that the level of distribution 2/|G| - eps needs
     if ctx.group_order < 6:
         raise ValueError("nonabelian context needs group order >= 6")
 
@@ -136,49 +119,11 @@ def _gap_and_window(r: Fraction, k: int) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
         return bound, mp.mpf("1.6") * km * mp.log(km), mp.log10(bound)
 
 
-class NonabelianGap(NamedTuple):
-    bound: float  # 825 r^3 e^r (inf if it overflows float)
-    window: float  # 1.6 k log k for the chosen k (inf likewise)
-    bound_log10: float
-
-
-def gap_bound_nonabelian(ctx: GaloisContext) -> NonabelianGap:
-    """825 r^3 e^r together with the window diameter 1.6 k log k it absorbs.
-
-    Raises if the absorption inequality 1.6 k log k <= 825 r^3 e^r ever
-    failed; it holds for every nonabelian context by construction.
-    """
-    _require_nonabelian(ctx, "gap_bound_nonabelian")
-    r = context_ratio(ctx)
-    bound, window, bound_log10 = _gap_and_window(r, choose_k(ctx))
-    if window > bound:
-        raise AssertionError(
-            f"window 1.6 k log k = {mp.nstr(window)} exceeds "
-            f"825 r^3 e^r = {mp.nstr(bound)} at r = {r}"
-        )
-    return NonabelianGap(float(bound), float(window), float(bound_log10))
-
-
 def gap_bound_abelian(q: int) -> int:
     """Gap bound 600q for primes in residue classes mod q."""
     if q < 1:
         raise ValueError("modulus must be >= 1")
     return 600 * q
-
-
-def compute_rk(ctx: GaloisContext, theta, mk) -> int:
-    """r_k = ceil(delta theta phi(|D|) mk / (2 |D|)), delta = |C|/|G|.
-
-    theta and mk convert through Fraction, so float inputs are used at their
-    exact binary values and the ceiling is deterministic.
-    """
-    theta = Fraction(theta)
-    mk = Fraction(mk)
-    if theta <= 0 or mk <= 0:
-        raise ValueError("theta and mk must be positive")
-    d = abs(ctx.discriminant)
-    x = ctx.density * theta * euler_phi(d) * mk / (2 * d)
-    return math.ceil(x)
 
 
 def verify_theorem1(ctx: GaloisContext) -> BoundReport:

@@ -664,7 +664,7 @@ def all_primes_spec() -> Congruence:
 
 
 # ---------------------------------------------------------------------------
-# membership over prime arrays, densities, discrepancy
+# membership over prime arrays, densities
 # ---------------------------------------------------------------------------
 
 
@@ -702,30 +702,3 @@ def empirical_density(spec: ChebotarevSpec, x_limit: int) -> Fraction:
     if total == 0:
         raise ValueError("no primes below x_limit")
     return Fraction(members, total)
-
-
-def bv_discrepancy(spec: ChebotarevSpec, q: int, n: int) -> float:
-    """max over a in (Z/q)* of |#{p in P, n <= p < 2n, p = a mod q} - total/phi(q)|.
-
-    Direct counting over [n, 2n); q must be coprime to the context
-    discriminant (the regularity statement excludes ramified moduli).
-    """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if math.gcd(q, abs(spec.context.discriminant)) != 1:
-        raise ValueError("q must be coprime to the context discriminant")
-    counts: dict[int, int] = {a: 0 for a in range(q) if math.gcd(a, q) == 1}
-    total = 0
-    for seg in iter_prime_segments(n, 2 * n):
-        mem = members_in_segment(spec, seg)
-        total += len(mem)
-        if len(mem):
-            res, cnt = np.unique(mem % q, return_counts=True)
-            for a, c in zip(res.tolist(), cnt.tolist()):
-                if a in counts:
-                    counts[a] += int(c)
-    expected = Fraction(total, euler_phi(q))
-    worst = max(abs(Fraction(c) - expected) for c in counts.values())
-    return float(worst)

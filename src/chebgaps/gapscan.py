@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -98,14 +99,17 @@ def scan(
 ) -> GapReport:
     """Consecutive-gap statistics of the set up to x_limit.
 
-    With threads > 1, [2, x_limit] splits into ranges scanned in parallel;
-    the gap across each range boundary is stitched in during the merge.
+    With threads > 1, [2, x_limit] splits into that many ranges, scanned by
+    at most os.cpu_count() worker processes; the gap across each range
+    boundary is stitched in during the merge.
     """
     if x_limit < 10**3:
         raise ValueError("x_limit must be >= 1000")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if threads == 1:
         acc = _scan_range(spec, 2, x_limit + 1, bound)
     else:
         step = math.ceil((x_limit - 1) / threads)
@@ -114,7 +118,10 @@ def scan(
             for lo in range(2, x_limit + 1, step)
         ]
         acc = _Accum()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a fork pool starts every worker at the first submit, so never ask
+        # for more than the machine has cores
+        workers = min(threads, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_scan_worker, jobs):
                 if part.count == 0:
                     continue
@@ -138,63 +145,6 @@ def scan(
         pairs_within_bound=acc.pairs_in,
         bound_used=bound,
         histogram=acc.hist,
-    )
-
-
-@dataclass(frozen=True)
-class MTupleReport:
-    """Minimal span q_{n+m} - q_n observed among the set's members."""
-
-    spec_id: str
-    x_limit: int
-    m: int
-    prime_count: int
-    min_span: int | None
-    min_pair: tuple[int, int] | None
-    sufficient: bool  # False when fewer than m+1 members exist
-
-    def to_json(self) -> dict:
-        return {
-            "spec_id": self.spec_id,
-            "x_limit": self.x_limit,
-            "m": self.m,
-            "prime_count": self.prime_count,
-            "min_span": self.min_span,
-            "min_pair": list(self.min_pair) if self.min_pair else None,
-            "sufficient": self.sufficient,
-        }
-
-
-def scan_m_tuples(spec: ChebotarevSpec, x_limit: int, m: int) -> MTupleReport:
-    """Sliding minimum of the distance between members m apart; m = 1 is
-    the ordinary minimal gap."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if x_limit < 10**3:
-        raise ValueError("x_limit must be >= 1000")
-    window: list[int] = []
-    count = 0
-    best: int | None = None
-    best_pair: tuple[int, int] | None = None
-    for seg in iter_prime_segments(2, x_limit + 1):
-        for p in members_in_segment(spec, seg):
-            p = int(p)
-            count += 1
-            window.append(p)
-            if len(window) > m:
-                q = window.pop(0)
-                span = p - q
-                if best is None or span < best:
-                    best = span
-                    best_pair = (q, p)
-    return MTupleReport(
-        spec_id=spec.spec_id,
-        x_limit=x_limit,
-        m=m,
-        prime_count=count,
-        min_span=best,
-        min_pair=best_pair,
-        sufficient=best is not None,
     )
 
 

@@ -1,7 +1,7 @@
 """Prime enumeration and classical prime-counting inequalities.
 
 Segmented sieve of Eratosthenes on numpy bitmaps, a reusable PrimeTable for
-membership / pi / nth-prime queries, primorials, and a checker for Dusart's
+membership and pi queries, primorials, and a checker for Dusart's
 two-sided bounds on q_n and pi(n).
 """
 
@@ -91,12 +91,6 @@ class PrimeTable:
             raise ValueError(f"{x} outside table limit {self.limit}")
         return int(np.searchsorted(self._primes, x, side="right"))
 
-    def nth(self, n: int) -> int:
-        """The n-th prime, 1-indexed (nth(1) = 2)."""
-        if n < 1 or n > len(self._primes):
-            raise ValueError(f"table holds only {len(self._primes)} primes")
-        return int(self._primes[n - 1])
-
     @property
     def primes(self) -> np.ndarray:
         return self._primes
@@ -118,19 +112,6 @@ def nth_prime_upper(n: int) -> int:
         return 16
     logn = math.log(n)
     return int(n * (logn + math.log(logn))) + 2
-
-
-def nth_prime(n: int) -> int:
-    """The n-th prime, 1-indexed."""
-    if n < 1:
-        raise ValueError("prime index must be >= 1")
-    limit = nth_prime_upper(n)
-    table = PrimeTable(limit)
-    while len(table.primes) < n:
-        # Dusart's bound makes this unreachable for n >= 6; tiny n is padded.
-        limit *= 2
-        table = PrimeTable(limit)
-    return table.nth(n)
 
 
 def primorial_below(d0: float) -> int:

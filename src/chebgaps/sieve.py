@@ -404,15 +404,6 @@ def s_functional(cfg: SieveConfig, spec: ChebotarevSpec, rho) -> SResult:
     return SResult(s2 - rho * s1, s1, s2, rho, threshold, windows)
 
 
-def paper_rho(ctx: GaloisContext, theta, mk, epsilon) -> Fraction:
-    """The choice rho = M_k (delta theta phi(|D|) / (2 |D|) - eps) made in
-    the positivity proof."""
-    d = abs(ctx.discriminant)
-    return Fraction(mk) * (
-        ctx.density * Fraction(theta) * euler_phi(d) / (2 * d) - Fraction(epsilon)
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON plumbing
 # ---------------------------------------------------------------------------

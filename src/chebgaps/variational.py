@@ -109,10 +109,6 @@ class SimplexPolynomial:
     # -- views -------------------------------------------------------------
 
     @property
-    def coeff_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -599,7 +595,7 @@ def optimize_rayleigh(
 
 
 # ---------------------------------------------------------------------------
-# closed-form lower bounds for M_k
+# closed-form lower bound for M_k
 # ---------------------------------------------------------------------------
 
 
@@ -609,21 +605,3 @@ def simplified_mk_bound(k: int) -> float:
     if k < 16:
         raise ValueError("bound needs k >= 16")
     return math.log(k) - 2 * math.log(math.log(k)) - 2
-
-
-def mk_lower_bound(k: int) -> float | None:
-    """The sharper lower bound A(1 - A e^A / (k (1 - A/(e^A - 1) - e^A/k)^2))
-    with A = log k - 2 log log k, when its proviso holds; None otherwise.
-
-    None signals that the inner factor is non-positive (small k), where the
-    bound statement is vacuous.
-    """
-    if k < 16:
-        raise ValueError("bound needs k >= 16")
-    a = math.log(k) - 2 * math.log(math.log(k))
-    ea = math.exp(a)
-    inner = 1 - a / (ea - 1) - ea / k
-    if inner <= 0:
-        return None
-    value = a * (1 - a * ea / (k * inner * inner))
-    return value if value > 0 else None

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .admissible import Tuple, verify_diameter_bound
-from .arith import euler_phi, is_squarefree, mobius, rad
+from .arith import euler_phi, is_squarefree, mobius
 from .bounds import gap_bound_abelian, verify_theorem1
 from .chebsets import (
     Congruence,

@@ -10,11 +10,8 @@ from chebgaps.arith import euler_phi, rad
 from chebgaps.bounds import (
     CeilingIndeterminate,
     choose_k,
-    compute_rk,
     context_ratio,
     gap_bound_abelian,
-    gap_bound_nonabelian,
-    level_of_distribution,
     verify_theorem1,
 )
 from chebgaps.chebsets import GaloisContext
@@ -62,17 +59,6 @@ def test_context_ratio_exact():
         d = rng.randint(1, 500)
         ctx = GaloisContext(g, c, d)
         assert context_ratio(ctx) == Fraction(g * g * d, c * euler_phi(d))
-
-
-def test_level_of_distribution():
-    assert level_of_distribution(S3_FULL, 0.0) == pytest.approx(1 / 3)
-    assert level_of_distribution(GaloisContext(4, 1, 5), 0.1) == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        level_of_distribution(GaloisContext(2, 1, 1), 0.0)
-    with pytest.raises(ValueError):
-        level_of_distribution(S3_FULL, 1 / 3)
-    with pytest.raises(ValueError):
-        level_of_distribution(S3_FULL, -0.01)
 
 
 # -- k selection --------------------------------------------------------------------
@@ -130,39 +116,12 @@ def test_ceiling_guard(monkeypatch):
 # -- gap bounds ---------------------------------------------------------------------
 
 
-def test_gap_bound_nonabelian_frozen():
-    gap = gap_bound_nonabelian(S3_FULL)
-    assert gap.bound == pytest.approx(71_891_011.0, rel=1e-9)
-    assert gap.window == pytest.approx(41_863_604.2456, rel=1e-9)
-    assert gap.bound_log10 == pytest.approx(math.log10(gap.bound))
-    assert gap.window <= gap.bound
-    # independent float recompute of 825 r^3 e^r and 1.6 k log k
-    assert gap.bound == pytest.approx(825 * 6**3 * math.exp(6), rel=1e-12)
-    k = choose_k(S3_FULL)
-    assert gap.window == pytest.approx(1.6 * k * math.log(k), rel=1e-12)
-
-
 def test_gap_bound_abelian():
     assert gap_bound_abelian(8) == 4800
     assert gap_bound_abelian(28) == 16800
     assert gap_bound_abelian(1) == 600
     with pytest.raises(ValueError):
         gap_bound_abelian(0)
-
-
-def test_compute_rk():
-    assert compute_rk(S3_FULL, Fraction(1, 3), Fraction(3, 2)) == 1
-    assert compute_rk(S3_FULL, Fraction(1, 3), Fraction(70756, 10000)) == 2
-    # an exactly integral product must not round up
-    assert compute_rk(S3_FULL, Fraction(2), Fraction(3)) == 3
-    # delta = 1/6 scales the product down accordingly
-    assert compute_rk(S3_IDENTITY, Fraction(1), Fraction(1)) == math.ceil(
-        Fraction(1, 6) * euler_phi(23) / 46
-    )
-    with pytest.raises(ValueError):
-        compute_rk(S3_FULL, 0, 1)
-    with pytest.raises(ValueError):
-        compute_rk(S3_FULL, 1, -2)
 
 
 # -- full proof chain ---------------------------------------------------------------
@@ -180,6 +139,15 @@ def test_verify_theorem1_frozen():
         math.log(k) - 2 * math.log(math.log(k)) - 2
     )
     assert rep.gap_bound == pytest.approx(71_891_011.0, rel=1e-9)
+    # the window 1.6 k log k that the bound absorbs, from the chain's helper
+    bound, window, _ = bounds._gap_and_window(context_ratio(S3_FULL), k)
+    assert float(window) == pytest.approx(41_863_604.2456, rel=1e-9)
+    assert window <= bound
+    assert float(bound) == rep.gap_bound
+    assert rep.gap_bound_log10 == pytest.approx(math.log10(rep.gap_bound))
+    # independent float recompute of 825 r^3 e^r and 1.6 k log k
+    assert rep.gap_bound == pytest.approx(825 * 6**3 * math.exp(6), rel=1e-12)
+    assert float(window) == pytest.approx(1.6 * k * math.log(k), rel=1e-12)
 
     rep2 = verify_theorem1(S3_TRANSPOSITIONS)
     assert rep2.proof_ok and rep2.rk == 2

@@ -1,5 +1,4 @@
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -7,14 +6,12 @@ import numpy as np
 import pytest
 
 from chebgaps.chebsets import (
-    ALL_PRIMES_CONTEXT,
     Congruence,
     FactorizationType,
     GaloisContext,
     NewformCongruence,
     QuadFormRep,
     all_primes_spec,
-    bv_discrepancy,
     empirical_density,
     factorization_type,
     members_in_segment,
@@ -322,13 +319,3 @@ def test_union_density_adds_up():
         Congruence(8, {1, 3, 5, 7}, GaloisContext(1, 1, 1, abelian_conductor=8)), seg
     )
     assert total == len(whole)
-
-
-def test_bv_discrepancy_small_for_primes():
-    spec = all_primes_spec()
-    n = 10**5
-    disc = bv_discrepancy(spec, 3, n)
-    # primes split evenly between 1 and 2 mod 3
-    assert disc < 40
-    with pytest.raises(ValueError):
-        bv_discrepancy(Congruence(4, {1}, GaloisContext(2, 1, 2, abelian_conductor=4)), 4, n)

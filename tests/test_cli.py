@@ -241,6 +241,18 @@ def test_bad_input_exits_2(tmp_path, capsys):
     bad_spec = write_json(tmp_path, "spec.json", spec)
     assert main(["scan", "--config", bad_spec, "--x", "1000", "--bound", "4800"]) == 2
     assert "'residues' must be a JSON list" in capsys.readouterr().err
+    good_spec = write_json(tmp_path, "spec_ok.json", scan_spec_json())
+    scan_args = ["scan", "--config", good_spec, "--x", "1000", "--bound", "4800"]
+    assert main([*scan_args, "--threads", "0"]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
+    # bounds guards the group order on its own path
+    small = write_json(
+        tmp_path,
+        "ctx_small.json",
+        {"group_order": 4, "class_size": 1, "discriminant": 5, "abelian_conductor": None},
+    )
+    assert main(["bounds", "--config", small]) == 2
+    assert "group order >= 6" in capsys.readouterr().err
     # null or mistyped fields are rejected where the JSON is parsed
     spec = scan_spec_json()
     spec["modulus"] = None

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -8,7 +9,6 @@ from chebgaps.gapscan import (
     GapReport,
     REPORT_FIELDS,
     scan,
-    scan_m_tuples,
     tau_gap_scan,
     write_scan_csv,
 )
@@ -86,6 +86,34 @@ def test_scan_parallel_matches_sequential():
     assert par == seq
 
 
+def test_scan_pool_capped_at_cpu_count(monkeypatch):
+    # an in-process stand-in for the pool, so no worker is ever started
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            seen.append(len(jobs))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(gapscan, "ProcessPoolExecutor", FakePool)
+    cpus = os.cpu_count()
+    par = scan(mod8_spec(), 10**4, 4800, threads=cpus + 1)
+    workers, ranges = seen
+    assert workers <= cpus
+    assert ranges > 1
+    assert par == scan(mod8_spec(), 10**4, 4800)
+
+
 def test_scan_monotone_in_limit():
     reports = [scan(mod8_spec(), x, 4800) for x in (10**3, 10**4, 10**5)]
     for a, b in zip(reports, reports[1:]):
@@ -99,6 +127,9 @@ def test_scan_rejections():
         scan(mod8_spec(), 999, 4800)
     with pytest.raises(ValueError):
         scan(mod8_spec(), 10**3, 0)
+    for threads in (0, -5):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            scan(mod8_spec(), 10**3, 4800, threads=threads)
 
 
 def test_overflow_bucket(monkeypatch):
@@ -118,36 +149,6 @@ def test_gap_report_validation():
         GapReport("x", 1000, 3, 6, (3, 9), 2, 100, {6: 5})  # counts exceed pairs
     rep = GapReport("x", 1000, 0, None, None, 0, 100, {})
     assert rep.to_json()["min_gap"] is None
-
-
-# -- m-tuples -----------------------------------------------------------------------
-
-
-def test_m_tuples_m1_is_min_gap():
-    spec = mod8_spec()
-    assert scan_m_tuples(spec, 10**4, 1).min_span == scan(spec, 10**4, 1).min_gap
-
-
-def test_m_tuples_frozen():
-    spec = Congruence(4, {1}, GaloisContext(2, 1, 1, abelian_conductor=4))
-    r = scan_m_tuples(spec, 10**3, 2)
-    assert r.prime_count == 80
-    assert r.min_span == 12
-    assert r.min_pair == (5, 17)
-    assert r.sufficient
-    # 5, 13, 17 are three residue-1 primes inside a window of 12
-    assert all(t_is_prime(p) and p % 4 == 1 for p in (5, 13, 17))
-
-
-def test_m_tuples_insufficient():
-    r = scan_m_tuples(mod8_spec(), 10**3, 100)
-    assert not r.sufficient
-    assert r.min_span is None and r.min_pair is None
-    assert r.prime_count == 44
-    with pytest.raises(ValueError):
-        scan_m_tuples(mod8_spec(), 10**3, 0)
-    with pytest.raises(ValueError):
-        scan_m_tuples(mod8_spec(), 999, 1)
 
 
 # -- tau congruence scans -----------------------------------------------------------

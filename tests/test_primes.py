@@ -1,12 +1,10 @@
 import random
 
-import numpy as np
 import pytest
 
 from chebgaps.primes import (
     PrimeTable,
     iter_prime_segments,
-    nth_prime,
     nth_prime_upper,
     prime_count,
     primorial_below,
@@ -58,14 +56,12 @@ def test_segments_concatenate_to_full_range():
     assert parts == trial_division_primes(1234, 98765)
 
 
-def test_prime_table_counts_and_nth():
+def test_prime_table_counts():
     pt = PrimeTable(10**4)
     oracle = trial_division_primes(2, 10**4 + 1)
     assert pt.primes.tolist() == oracle
     assert pt.pi(10**4) == len(oracle) == 1229
     assert pt.pi(1) == 0
-    for i in (1, 2, 10, 100, 1229):
-        assert pt.nth(i) == oracle[i - 1]
     assert pt.is_prime(9973) and not pt.is_prime(9999)
     assert 97 in pt and 91 not in pt
 
@@ -73,7 +69,6 @@ def test_prime_table_counts_and_nth():
 def test_nth_prime_and_upper_bound():
     oracle = trial_division_primes(2, 10**4)
     for n in (1, 2, 6, 25, 100, 500):
-        assert nth_prime(n) == oracle[n - 1]
         assert oracle[n - 1] <= nth_prime_upper(n)
     assert prime_count(10**6) == 78498
 

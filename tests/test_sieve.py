@@ -15,7 +15,6 @@ from chebgaps.sieve import (
     default_d0,
     lambda_table,
     lambda_weight,
-    paper_rho,
     predicted_terms,
     run_to_json,
     s_functional,
@@ -25,7 +24,6 @@ from chebgaps.sieve import (
     tuple_determinant,
     weight_table,
 )
-from chebgaps.variational import SimplexPolynomial
 
 ALL_PRIMES = GaloisContext(1, 1, 1, abelian_conductor=1)
 
@@ -410,12 +408,6 @@ def test_predicted_terms_sanity():
 
     with pytest.raises(ValueError):
         predicted_terms(cfg, Congruence(5, {1}, mismatched))
-
-
-def test_paper_rho():
-    assert paper_rho(ALL_PRIMES, Fraction(1, 2), 4, Fraction(1, 100)) == Fraction(24, 25)
-    ctx = GaloisContext(6, 1, 23)
-    assert paper_rho(ctx, Fraction(1, 3), 3, 0) == Fraction(11, 138)
 
 
 # -- JSON plumbing ------------------------------------------------------------------

@@ -12,7 +12,6 @@ from chebgaps.variational import (
     integral_I,
     integral_J,
     integral_J_sum,
-    mk_lower_bound,
     optimize_rayleigh,
     pair_integral,
     rayleigh,
@@ -301,7 +300,7 @@ def test_optimize_improves_with_degree():
     assert optimize_rayleigh(2, 0).value == Fraction(4, 3)
 
 
-# -- closed-form lower bounds -------------------------------------------------------
+# -- closed-form lower bound --------------------------------------------------------
 
 
 def test_simplified_bound_sign_change():
@@ -311,21 +310,3 @@ def test_simplified_bound_sign_change():
     )
     with pytest.raises(ValueError):
         simplified_mk_bound(15)
-
-
-def test_sharper_bound_values():
-    with pytest.raises(ValueError):
-        mk_lower_bound(15)
-    assert mk_lower_bound(16) is None
-    assert mk_lower_bound(20) is None
-    assert mk_lower_bound(30) == pytest.approx(0.16418212415305314)
-    assert mk_lower_bound(105) == pytest.approx(1.1891958487049585)
-    assert mk_lower_bound(5900) == pytest.approx(4.068685812591817)
-    assert mk_lower_bound(5900) > 4
-
-
-def test_sharper_bound_dominates_simplified():
-    for k in [30, 100, 213, 1000, 10**5, 10**8]:
-        sharp = mk_lower_bound(k)
-        assert sharp is not None
-        assert sharp >= simplified_mk_bound(k)
