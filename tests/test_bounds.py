@@ -116,6 +116,21 @@ def test_ceiling_guard(monkeypatch):
 # -- gap bounds ---------------------------------------------------------------------
 
 
+def test_gap_bound_nonabelian_frozen():
+    # the bound 825 r^3 e^r and the window 1.6 k log k it absorbs, from the
+    # helper that verify_theorem1 evaluates them with
+    k = choose_k(S3_FULL)
+    bound, window, bound_log10 = bounds._gap_and_window(context_ratio(S3_FULL), k)
+    assert float(bound) == pytest.approx(71_891_011.0, rel=1e-9)
+    assert float(window) == pytest.approx(41_863_604.2456, rel=1e-9)
+    assert float(bound_log10) == pytest.approx(math.log10(float(bound)))
+    assert window <= bound
+    assert float(bound) == verify_theorem1(S3_FULL).gap_bound
+    # independent float recompute of 825 r^3 e^r and 1.6 k log k
+    assert float(bound) == pytest.approx(825 * 6**3 * math.exp(6), rel=1e-12)
+    assert float(window) == pytest.approx(1.6 * k * math.log(k), rel=1e-12)
+
+
 def test_gap_bound_abelian():
     assert gap_bound_abelian(8) == 4800
     assert gap_bound_abelian(28) == 16800
@@ -139,15 +154,6 @@ def test_verify_theorem1_frozen():
         math.log(k) - 2 * math.log(math.log(k)) - 2
     )
     assert rep.gap_bound == pytest.approx(71_891_011.0, rel=1e-9)
-    # the window 1.6 k log k that the bound absorbs, from the chain's helper
-    bound, window, _ = bounds._gap_and_window(context_ratio(S3_FULL), k)
-    assert float(window) == pytest.approx(41_863_604.2456, rel=1e-9)
-    assert window <= bound
-    assert float(bound) == rep.gap_bound
-    assert rep.gap_bound_log10 == pytest.approx(math.log10(rep.gap_bound))
-    # independent float recompute of 825 r^3 e^r and 1.6 k log k
-    assert rep.gap_bound == pytest.approx(825 * 6**3 * math.exp(6), rel=1e-12)
-    assert float(window) == pytest.approx(1.6 * k * math.log(k), rel=1e-12)
 
     rep2 = verify_theorem1(S3_TRANSPOSITIONS)
     assert rep2.proof_ok and rep2.rk == 2
