@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, prime_divisors
+from .arith import euler_phi
 from .primes import iter_prime_segments
 
 
@@ -354,8 +354,8 @@ def tau_mod_stream(d: int, limit: int) -> np.ndarray:
     sparse (Jacobi: sum (-1)^j (2j+1) q^{j(j+1)/2}), so eight sparse
     multiplications replace a dense power. Index 0 of the result is unused.
     """
-    if d < 2:
-        raise ValueError("modulus must be >= 2")
+    if not 2 <= d < 2**63:
+        raise ValueError("modulus must be in [2, 2^63)")
     if limit < 1:
         raise ValueError("limit must be >= 1")
     L = limit
@@ -577,6 +577,8 @@ class NewformCongruence(ChebotarevSpec):
             raise ValueError("modulus d must be >= 2 (d = 1 is trivial)")
         if level < 1:
             raise ValueError("level must be >= 1")
+        if max(d, level) >= 2**63:
+            raise ValueError("d and level must be < 2^63")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "target", int(target) % d)
         object.__setattr__(self, "level", level)
@@ -593,9 +595,10 @@ class NewformCongruence(ChebotarevSpec):
             return self.stream
         if self.level != 1:
             raise ValueError("no native stream for level != 1; attach one")
-        cached = getattr(self, "_tau_cache", None)
-        if cached is None or len(cached) <= n:
-            cached = tau_mod_stream(self.d, max(2 * n, 1024))
+        cached = getattr(self, "_tau_cache", ())
+        if len(cached) <= n:
+            # at least double the cached prefix, so repeated growth stays linear
+            cached = tau_mod_stream(self.d, max(n + 1, 2 * len(cached), 1024))
             object.__setattr__(self, "_tau_cache", cached)
         return cached
 
@@ -677,15 +680,13 @@ def members_in_segment(spec: ChebotarevSpec, primes: np.ndarray) -> np.ndarray:
     if len(primes) == 0:
         return primes
     if isinstance(spec, Congruence):
+        # residues are coprime to q, so no prime dividing q passes
         mask = np.isin(primes % spec.modulus, np.array(sorted(spec.residues)))
-        for p in prime_divisors(spec.modulus):
-            mask &= primes != p
         return primes[mask]
     if isinstance(spec, NewformCongruence):
         s = spec._stream_upto(int(primes[-1]))
         mask = np.asarray(s[primes] % spec.d == spec.target)
-        for p in prime_divisors(spec.d * spec.level):
-            mask &= primes != p
+        mask &= (spec.d % primes != 0) & (spec.level % primes != 0)
         return primes[mask]
     return np.array([p for p in primes.tolist() if spec.is_member(p)], dtype=np.int64)
 

@@ -99,9 +99,9 @@ def scan(
 ) -> GapReport:
     """Consecutive-gap statistics of the set up to x_limit.
 
-    With threads > 1, [2, x_limit] splits into that many ranges, scanned by
-    at most os.cpu_count() worker processes; the gap across each range
-    boundary is stitched in during the merge.
+    With threads > 1, [2, x_limit] splits into min(threads, os.cpu_count())
+    ranges, one per worker process; the gap across each range boundary is
+    stitched in during the merge.
     """
     if x_limit < 10**3:
         raise ValueError("x_limit must be >= 1000")
@@ -109,18 +109,18 @@ def scan(
         raise ValueError("bound must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if threads == 1:
+    # a fork pool starts every worker at the first submit, so never ask for
+    # more than the machine has cores
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1:
         acc = _scan_range(spec, 2, x_limit + 1, bound)
     else:
-        step = math.ceil((x_limit - 1) / threads)
+        step = math.ceil((x_limit - 1) / workers)
         jobs = [
             (spec, lo, min(lo + step, x_limit + 1), bound)
             for lo in range(2, x_limit + 1, step)
         ]
         acc = _Accum()
-        # a fork pool starts every worker at the first submit, so never ask
-        # for more than the machine has cores
-        workers = min(threads, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_scan_worker, jobs):
                 if part.count == 0:

@@ -54,6 +54,25 @@ def test_criterion_06_integrals_monte_carlo():
     check(criterion_6_variational_mc(seed=0))
 
 
+# (passed, worst deviation) of criterion 6 at 10 polynomials and 10^4 samples;
+# each seed's outcome is fixed by its random stream, so any change to the
+# stream or to the estimates shows up here
+CRITERION_6_SMALL = [
+    (True, "1.94"), (False, "4.63"), (False, "21.26"), (True, "2.09"),
+    (True, "2.72"), (True, "2.39"), (True, "1.97"), (True, "1.89"),
+    (True, "2.25"), (False, "3.70"), (True, "2.68"), (True, "2.04"),
+]
+
+
+def test_criterion_06_random_stream_pinned():
+    for seed, (passed, worst) in enumerate(CRITERION_6_SMALL):
+        r = criterion_6_variational_mc(seed, polys=10, samples=10**4)
+        assert (r.passed, r.detail) == (
+            passed,
+            f"10 polynomials, worst deviation {worst} sigma, rayleigh(1, k=2) exact: True",
+        ), seed
+
+
 def test_criterion_07_m105_exceeds_4():
     check(criterion_7_m105())
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import chebgaps.chebsets as chebsets
 from chebgaps.chebsets import (
     Congruence,
     FactorizationType,
@@ -270,6 +271,8 @@ def test_tau_stream_rejections():
         tau_mod_stream(1, 100)
     with pytest.raises(ValueError):
         tau_mod_stream(5, 0)
+    with pytest.raises(ValueError):
+        tau_mod_stream(2**63, 10)  # int64 cannot hold the residues
 
 
 def test_newform_spec_native_and_attached():
@@ -286,22 +289,48 @@ def test_newform_spec_native_and_attached():
         level5.is_member(7)  # no native stream outside level 1
     with pytest.raises(ValueError):
         NewformCongruence(1, 0, 1, ctx)
+    for d, level in ((2**63, 1), (5, 2**63)):
+        with pytest.raises(ValueError):
+            NewformCongruence(d, 0, level, ctx)
 
 
 # -- aggregate statistics ------------------------------------------------------------
 
 
-def test_members_in_segment_matches_loop():
+def test_members_in_segment_matches_loop(monkeypatch):
+    # the vectorized paths exclude ramified primes without factoring the modulus
+    def no_factoring(n):
+        raise AssertionError("members_in_segment factored a modulus")
+
+    monkeypatch.setattr(chebsets, "prime_divisors", no_factoring, raising=False)
     specs = [
         Congruence(28, {3, 19, 27}, GaloisContext(6, 3, 1, abelian_conductor=28)),
         FactorizationType((-1, -1, 0, 1), (1, 2), GaloisContext(6, 3, -23)),
         NewformCongruence(2, 0, 1, GaloisContext(1, 1, 1)),
+        NewformCongruence(
+            6, 1, 11, GaloisContext(1, 1, 1), stream=tau_mod_stream(6, 2000)
+        ),
     ]
     seg = np.array(sieve_range(2, 2000))
     for spec in specs:
         got = members_in_segment(spec, seg).tolist()
         want = [p for p in seg.tolist() if spec.is_member(p)]
         assert got == want
+
+
+def test_newform_stream_grows_from_what_is_read(monkeypatch):
+    asked = []
+
+    def recording(d, limit):
+        asked.append(limit)
+        return np.zeros(limit + 1, dtype=np.int64)
+
+    monkeypatch.setattr(chebsets, "tau_mod_stream", recording)
+    spec = NewformCongruence(691, 0, 1, GaloisContext(1, 1, 1))
+    members_in_segment(spec, np.array(sieve_range(2, 10**5)))
+    assert len(asked) == 1 and asked[0] <= 10**5 + 1
+    members_in_segment(spec, np.array(sieve_range(10**5, 10**5 + 100)))
+    assert len(asked) == 2 and asked[1] >= 2 * asked[0]
 
 
 def test_empirical_density_congruence():

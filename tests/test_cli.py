@@ -245,6 +245,11 @@ def test_bad_input_exits_2(tmp_path, capsys):
     scan_args = ["scan", "--config", good_spec, "--x", "1000", "--bound", "4800"]
     assert main([*scan_args, "--threads", "0"]) == 2
     assert "threads must be >= 1" in capsys.readouterr().err
+    newform = {"variant": "newform_congruence", "d": 10**30, "target": 0, "level": 1,
+               "context": S3_JSON}
+    big_d = write_json(tmp_path, "spec_big_d.json", newform)
+    assert main(["scan", "--config", big_d, "--x", "1000", "--bound", "4800"]) == 2
+    assert "d and level must be < 2^63" in capsys.readouterr().err
     # bounds guards the group order on its own path
     small = write_json(
         tmp_path,
