@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import PrimeTable, nth_prime_upper, pi_from_list, sieve_range
+from .primes import PrimeTable, nth_prime_upper, sieve_range
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,12 @@ def verify_diameter_bound(k_lo: int, k_hi: int) -> DiameterReport:
     """
     if k_lo < 1 or k_lo > k_hi:
         raise ValueError("need 1 <= k_lo <= k_hi")
-    primes = np.asarray(
-        sieve_range(2, nth_prime_upper(_needed_index(k_hi)) + 1), dtype=np.int64
-    )
+    table = PrimeTable(nth_prime_upper(_needed_index(k_hi)))
+    primes = table.primes
     first_failure = None
     worst = 0.0
     for k in range(k_lo, k_hi + 1):
-        pi_k = pi_from_list(primes, k)
+        pi_k = table.pi(k)
         diam = int(primes[pi_k + k - 1] - primes[pi_k])
         bound = 1.6 * k * math.log(k)
         ratio = diam / bound if bound > 0 else float(diam > 0)  # k = 1: diam 0

@@ -348,7 +348,8 @@ def represents(a: int, b: int, c: int, p: int) -> bool:
 
 
 def tau_mod_stream(d: int, limit: int) -> np.ndarray:
-    """tau(n) mod d for 1 <= n <= limit, as an int64 array indexed by n.
+    """tau(n) mod d for 1 <= n <= limit, as an array indexed by n: int64 for
+    d <= 2^31, Python ints in an object array above that.
 
     Delta = q prod (1-q^n)^24 = q * (eta-cube)^8 where the eta-cube series is
     sparse (Jacobi: sum (-1)^j (2j+1) q^{j(j+1)/2}), so eight sparse
@@ -359,55 +360,26 @@ def tau_mod_stream(d: int, limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     L = limit
-    cube = np.zeros(L, dtype=np.int64)
+    # int64 holds 2 (d-1)^2 only for d <= 2^31
+    dtype = np.int64 if (d - 1) ** 2 * 2 < 2**63 else object
+    cube = np.zeros(L, dtype=dtype)
     j = 0
     while j * (j + 1) // 2 < L:
         cube[j * (j + 1) // 2] = ((-1) ** j * (2 * j + 1)) % d
         j += 1
     idx = np.flatnonzero(cube)
     vals = cube[idx]
-    nterms = len(idx) + 1
-    if (d - 1) ** 2 * nterms < 2**63:
-        mod_each = False
-    elif (d - 1) ** 2 * 2 < 2**63:
-        mod_each = True
-    else:
-        return _tau_mod_stream_bigd(d, limit)
+    mod_each = dtype is np.int64 and (d - 1) ** 2 * (len(idx) + 1) >= 2**63
     B = cube.copy()
     for _ in range(7):
-        C = np.zeros(L, dtype=np.int64)
+        C = np.zeros(L, dtype=dtype)
         for e, c in zip(idx.tolist(), vals.tolist()):
-            if e == 0:
-                C += c * B
-            else:
-                C[e:] += c * B[: L - e]
+            C[e:] += c * B[: L - e]
             if mod_each:
                 C %= d
         B = C % d
-    out = np.zeros(limit + 1, dtype=np.int64)
-    out[1:] = B[:limit]
-    return out
-
-
-def _tau_mod_stream_bigd(d: int, limit: int) -> np.ndarray:
-    # object-dtype fallback for moduli too large for int64 products
-    L = limit
-    cube = [0] * L
-    j = 0
-    while j * (j + 1) // 2 < L:
-        cube[j * (j + 1) // 2] = ((-1) ** j * (2 * j + 1)) % d
-        j += 1
-    sparse = [(e, c) for e, c in enumerate(cube) if c]
-    B = cube[:]
-    for _ in range(7):
-        C = [0] * L
-        for e, c in sparse:
-            for i in range(L - e):
-                if B[i]:
-                    C[i + e] += c * B[i]
-        B = [x % d for x in C]
-    out = np.zeros(limit + 1, dtype=object)
-    out[1:] = B[:limit]
+    out = np.zeros(limit + 1, dtype=dtype)
+    out[1:] = B
     return out
 
 
@@ -630,14 +602,33 @@ def json_list(d: dict, key: str) -> list:
     return value
 
 
+def _json_int(value, what: str) -> int:
+    """value as an int: a JSON integer, or a float with an integral value so
+    that 1e6 reads as 10^6. A bool, fraction, string, null, list or object
+    raises ValueError."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{what} must be a number with an integer value, got {value!r}")
+
+
+def json_int_list(d: dict, key: str) -> list[int]:
+    """d[key], a JSON list whose entries all pass the integer check."""
+    return [_json_int(v, f"each {key!r} entry") for v in json_list(d, key)]
+
+
 def json_number(d: dict, key: str, kind=int):
-    """kind(d[key]); a null, list or object there raises ValueError, not
-    TypeError, so the CLI reports it as bad input."""
+    """d[key] as an int (see _json_int) or, with kind=float, as a float; a
+    bool, null, list or object raises ValueError, not TypeError, so the CLI
+    reports it as bad input."""
     value = d[key]
-    try:
-        return kind(value)
-    except TypeError:
-        raise ValueError(f"field {key!r} must be a number, got {value!r}") from None
+    if kind is int:
+        return _json_int(value, f"field {key!r}")
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except TypeError:
+            pass
+    raise ValueError(f"field {key!r} must be a number, got {value!r}")
 
 
 def spec_from_json(d: dict) -> ChebotarevSpec:
@@ -646,9 +637,11 @@ def spec_from_json(d: dict) -> ChebotarevSpec:
     ctx = GaloisContext.from_json(d["context"])
     variant = d["variant"]
     if variant == "congruence":
-        return Congruence(json_number(d, "modulus"), json_list(d, "residues"), ctx)
+        return Congruence(json_number(d, "modulus"), json_int_list(d, "residues"), ctx)
     if variant == "factorization_type":
-        return FactorizationType(json_list(d, "poly"), json_list(d, "cycle_type"), ctx)
+        return FactorizationType(
+            json_int_list(d, "poly"), json_int_list(d, "cycle_type"), ctx
+        )
     if variant == "quad_form":
         a, b, c = (json_number(d, key) for key in ("a", "b", "c"))
         return QuadFormRep(a, b, c, ctx)

@@ -148,10 +148,11 @@ def scan(
     )
 
 
-def tau_gap_scan(d: int, x_limit: int, bound: int | None = None) -> GapReport:
-    """Gaps between primes whose Ramanujan tau vanishes mod d."""
+def tau_gap_scan(d: int, x_limit: int) -> GapReport:
+    """Gaps between primes whose Ramanujan tau vanishes mod d, counting the
+    pairs within GAP_CAP."""
     spec = NewformCongruence(d, 0, 1, GaloisContext(1, 1, 1))
-    return scan(spec, x_limit, bound if bound is not None else GAP_CAP)
+    return scan(spec, x_limit, GAP_CAP)
 
 
 # ---------------------------------------------------------------------------

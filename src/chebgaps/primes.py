@@ -8,7 +8,6 @@ two-sided bounds on q_n and pi(n).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,10 +202,3 @@ def verify_dusart(n_lo: int, n_hi: int) -> DusartReport:
         pi_checked = len(xs)
 
     return DusartReport(first is None, n_lo, n_hi, nth_checked, pi_checked, first)
-
-
-def pi_from_list(primes: list[int] | np.ndarray, x: int) -> int:
-    """pi(x) from an ascending prime list covering x."""
-    if isinstance(primes, np.ndarray):
-        return int(np.searchsorted(primes, x, side="right"))
-    return bisect_right(primes, x)

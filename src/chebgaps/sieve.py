@@ -39,6 +39,7 @@ from .arith import crt, euler_phi, is_squarefree, mobius, prime_divisors, rad
 from .chebsets import (
     ChebotarevSpec,
     GaloisContext,
+    json_int_list,
     json_list,
     json_number,
     spec_from_json,
@@ -432,7 +433,7 @@ def config_from_json(d: dict) -> tuple[SieveConfig, ChebotarevSpec | None]:
     cfg = build_config(
         n_start=json_number(d, "n_start"),
         k=k,
-        tup=Tuple(json_list(d, "tuple")),
+        tup=Tuple(json_int_list(d, "tuple")),
         context=ctx,
         theta=json_number(d, "theta", float),
         epsilon=json_number(d, "epsilon", float),

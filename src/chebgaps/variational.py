@@ -112,11 +112,6 @@ class SimplexPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sum(key) for key, _ in self.coeffs)
-
     def to_dense(self) -> "SimplexPolynomial":
         """Expand arrangements; only sensible for small k."""
         if self.form == "dense":
@@ -128,23 +123,6 @@ class SimplexPolynomial:
                 out[perm] = out.get(perm, Fraction(0)) + c
         return SimplexPolynomial(self.k, "dense", out)
 
-    def to_symmetric(self) -> "SimplexPolynomial":
-        """Group monomials by sorted exponent pattern; fails if not symmetric."""
-        if self.form == "symmetric":
-            return self
-        by_pattern: dict[Partition, dict] = {}
-        for exps, c in self.coeffs:
-            pat = tuple(sorted((e for e in exps if e), reverse=True))
-            by_pattern.setdefault(pat, {})[exps] = c
-        out = {}
-        for pat, monos in by_pattern.items():
-            vals = set(monos.values())
-            n_arr = _n_arrangements(pat, self.k)
-            if len(vals) != 1 or len(monos) != n_arr:
-                raise ValueError("polynomial is not symmetric")
-            out[pat] = vals.pop()
-        return SimplexPolynomial(self.k, "symmetric", out)
-
     def evaluate(self, point) -> Fraction:
         """Exact value at a rational point; 0 outside the closed simplex."""
         pt = tuple(Fraction(x) for x in point)
@@ -153,29 +131,12 @@ class SimplexPolynomial:
         if any(x < 0 for x in pt) or sum(pt) > 1:
             return Fraction(0)
         total = Fraction(0)
-        if self.form == "dense":
-            for exps, c in self.coeffs:
-                v = c
-                for e, x in zip(exps, pt):
-                    v *= x**e
-                total += v
-        else:
-            for lam, c in self.coeffs:
-                padded = tuple(lam) + (0,) * (self.k - len(lam))
-                mval = Fraction(0)
-                for perm in set(permutations(padded)):
-                    v = Fraction(1)
-                    for e, x in zip(perm, pt):
-                        v *= x**e
-                    mval += v
-                total += c * mval
+        for exps, c in self.to_dense().coeffs:
+            v = c
+            for e, x in zip(exps, pt):
+                v *= x**e
+            total += v
         return total
-
-    def scale(self, c) -> "SimplexPolynomial":
-        c = Fraction(c)
-        return SimplexPolynomial(
-            self.k, self.form, {key: cc * c for key, cc in self.coeffs}
-        )
 
 
 def _n_arrangements(part: Partition, k: int) -> int:
@@ -251,35 +212,32 @@ def pair_integral(m: int, nu: Partition, mu: Partition, c_pow: int = 0) -> Fract
     return Fraction(w * _fact(c_pow), _fact(m + sum(nu) + sum(mu) + c_pow))
 
 
-def _dense_square(coeffs) -> dict:
-    out: dict[tuple, Fraction] = {}
-    items = list(coeffs)
-    for i, (e1, c1) in enumerate(items):
-        for e2, c2 in items[i:]:
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = c1 * c2 if e1 == e2 else 2 * c1 * c2
-            out[e] = out.get(e, Fraction(0)) + c
-    return out
+def _square_integral(terms: dict, m: int, symmetric: bool) -> Fraction:
+    """Exact integral over R_m of (sum co * x^key * (1 - sum x)^c_pow)^2 for
+    terms {(key, c_pow): co}. A symmetric key is a partition standing for
+    m_key in m variables, paired by pair_integral; a dense key is an exponent
+    tuple, paired by the Dirichlet formula."""
+    total = Fraction(0)
+    items = list(terms.items())
+    for a, ((key1, c1), co1) in enumerate(items):
+        for (key2, c2), co2 in items[a:]:
+            cp = c1 + c2
+            if symmetric:
+                w = pair_integral(m, key1, key2, cp)
+            else:
+                num = _fact(cp)
+                for e1, e2 in zip(key1, key2):
+                    num *= _fact(e1 + e2)
+                w = Fraction(num, _fact(m + sum(key1) + sum(key2) + cp))
+            t = co1 * co2 * w
+            total += t if (key1, c1) == (key2, c2) else 2 * t
+    return total
 
 
 def integral_I(f: SimplexPolynomial) -> Fraction:
     """Exact integral of F^2 over the simplex R_k."""
-    k = f.k
-    if f.form == "dense":
-        total = Fraction(0)
-        for exps, c in _dense_square(f.coeffs).items():
-            num = 1
-            for a in exps:
-                num *= _fact(a)
-            total += c * Fraction(num, _fact(k + sum(exps)))
-        return total
-    total = Fraction(0)
-    items = list(f.coeffs)
-    for i, (lam, cl) in enumerate(items):
-        for mu, cm in items[i:]:
-            w = pair_integral(k, lam, mu)
-            total += cl * cm * w if lam == mu else 2 * cl * cm * w
-    return total
+    terms = {(key, 0): c for key, c in f.coeffs}
+    return _square_integral(terms, f.k, f.form == "symmetric")
 
 
 def _inner_terms_dense(f: SimplexPolynomial, i: int):
@@ -314,39 +272,13 @@ def _inner_terms_symmetric(f: SimplexPolynomial):
 def integral_J(f: SimplexPolynomial, i: int = 1) -> Fraction:
     """Exact J_k^i(F): square of the t_i-section integral, integrated over
     the remaining k-1 variables (i is 1-indexed)."""
-    k = f.k
-    if not 1 <= i <= k:
+    if not 1 <= i <= f.k:
         raise ValueError(f"need 1 <= i <= k, got {i}")
     if f.form == "symmetric":
         terms = _inner_terms_symmetric(f)  # value independent of i
-        m = k - 1
-        total = Fraction(0)
-        items = list(terms.items())
-        for a, ((nu, c1), co1) in enumerate(items):
-            for (mu, c2), co2 in items[a:]:
-                cp = c1 + c2
-                w = Fraction(
-                    _pair_weight(m, nu, mu) * _fact(cp),
-                    _fact(m + sum(nu) + sum(mu) + cp),
-                )
-                t = co1 * co2 * w
-                total += t if (nu, c1) == (mu, c2) else 2 * t
-        return total
-    terms = _inner_terms_dense(f, i - 1)
-    m = k - 1
-    total = Fraction(0)
-    items = list(terms.items())
-    for a, ((b1, c1), co1) in enumerate(items):
-        for (b2, c2), co2 in items[a:]:
-            exps = tuple(x + y for x, y in zip(b1, b2))
-            cp = c1 + c2
-            num = _fact(cp)
-            for e in exps:
-                num *= _fact(e)
-            w = Fraction(num, _fact(m + sum(exps) + cp))
-            t = co1 * co2 * w
-            total += t if (b1, c1) == (b2, c2) else 2 * t
-    return total
+    else:
+        terms = _inner_terms_dense(f, i - 1)
+    return _square_integral(terms, f.k - 1, f.form == "symmetric")
 
 
 def integral_J_sum(f: SimplexPolynomial) -> Fraction:
@@ -509,11 +441,11 @@ def _pow2_scale(fr: Fraction) -> Fraction:
     return Fraction(1, 2**e) if e >= 0 else Fraction(2 ** (-e))
 
 
-def optimize_rayleigh(
-    k: int,
-    basis_degree: int,
-    denominator_bound: int = 10**6,
-) -> RayleighResult:
+# continued-fraction bound for the rationalized eigenvector's coefficients
+WITNESS_DENOMINATOR_BOUND = 10**6
+
+
+def optimize_rayleigh(k: int, basis_degree: int) -> RayleighResult:
     """Maximize the Rayleigh quotient over span{(1-P1)^a P2^b : a+2b <= degree}.
 
     Exact Gram matrices, a float64 generalized symmetric eigensolve for the
@@ -561,7 +493,7 @@ def optimize_rayleigh(
     vec = eigvecs[:, -1]
     vec = vec / np.max(np.abs(vec))
     coeffs = [
-        Fraction(float(x)).limit_denominator(denominator_bound) * scales[iu]
+        Fraction(float(x)).limit_denominator(WITNESS_DENOMINATOR_BOUND) * scales[iu]
         for iu, x in enumerate(vec)
     ]
 
@@ -573,7 +505,7 @@ def optimize_rayleigh(
             witness_terms[lam] = witness_terms.get(lam, Fraction(0)) + c * cc
     witness = SimplexPolynomial.from_symmetric(k, witness_terms)
     if witness.is_zero:
-        raise ValueError("rationalized witness collapsed to zero; raise the bound")
+        raise ValueError("rationalized witness collapsed to zero")
 
     # exact re-certification via the Gram forms (bilinear, identical to
     # integral_I / integral_J_sum on the witness)

@@ -236,11 +236,15 @@ def criterion_6_variational_mc(seed: int = 0, polys: int = 50, samples: int = 10
 # -- 7 -----------------------------------------------------------------------
 
 
-def criterion_7_m105(max_degree: int = 15) -> CriterionResult:
+# criterion 7 tries basis degrees 11..M105_MAX_DEGREE until one certifies
+M105_MAX_DEGREE = 15
+
+
+def criterion_7_m105() -> CriterionResult:
     t0 = time.time()
     value = None
     degree_used = None
-    for degree in range(11, max_degree + 1):
+    for degree in range(11, M105_MAX_DEGREE + 1):
         res = optimize_rayleigh(105, degree)
         if res.value > 4:
             value, degree_used = res.value, degree
@@ -249,7 +253,7 @@ def criterion_7_m105(max_degree: int = 15) -> CriterionResult:
     detail = (
         f"certified {float(value):.15f} > 4 at degree {degree_used}"
         if ok
-        else f"no certificate above 4 up to degree {max_degree}"
+        else f"no certificate above 4 up to degree {M105_MAX_DEGREE}"
     )
     return _result(7, "M_105 > 4 by exact re-certification", t0, ok, detail)
 

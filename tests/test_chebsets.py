@@ -15,6 +15,8 @@ from chebgaps.chebsets import (
     all_primes_spec,
     empirical_density,
     factorization_type,
+    json_int_list,
+    json_number,
     members_in_segment,
     poly_discriminant,
     represents,
@@ -168,6 +170,33 @@ def test_spec_json_round_trips():
         assert back.spec_id == spec.spec_id
 
 
+def test_json_integer_fields():
+    d = {"one": 7, "big": 1e6, "half": 2.5, "bool": True, "str": "3", "null": None,
+         "list": [0, 4.0, 1e2], "bad_list": [0, 4.5], "bool_list": [1, False]}
+    assert json_number(d, "one") == 7
+    assert json_number(d, "big") == 10**6 and type(json_number(d, "big")) is int
+    assert json_number(d, "half", float) == 2.5
+    assert json_int_list(d, "list") == [0, 4, 100]
+    for key in ("half", "bool", "str", "null"):
+        with pytest.raises(ValueError, match=f"'{key}' must be a number"):
+            json_number(d, key)
+    for key in ("bool", "null"):
+        with pytest.raises(ValueError, match=f"'{key}' must be a number"):
+            json_number(d, key, float)
+    for key in ("bad_list", "bool_list"):
+        with pytest.raises(ValueError, match=f"each '{key}' entry"):
+            json_int_list(d, key)
+    ctx = GaloisContext(6, 2, -23).to_json()
+    cubic = {"variant": "factorization_type", "poly": [-1, -1, 0, 1], "cycle_type": [3],
+             "context": ctx}
+    assert spec_from_json(cubic).poly == (-1, -1, 0, 1)
+    for key, value in (("poly", [-1, -1.5, 0, 1]), ("cycle_type", [2.5, 0.5])):
+        with pytest.raises(ValueError, match=f"each '{key}' entry"):
+            spec_from_json({**cubic, key: value})
+    with pytest.raises(ValueError, match="'abelian_conductor' must be a number"):
+        GaloisContext.from_json({**ctx, "abelian_conductor": 8.6})
+
+
 # -- quadratic forms ---------------------------------------------------------------
 
 
@@ -243,7 +272,8 @@ def naive_tau(limit):
 def test_tau_stream_vs_naive_product():
     limit = 120
     oracle = naive_tau(limit)
-    for d in (691, 10**6, 2**31 - 1, 10**9 + 7):
+    # the last two run the loop on Python ints (object dtype)
+    for d in (691, 10**6, 2**31 - 1, 10**9 + 7, 2**61 - 1, 691 * 2**32):
         s = tau_mod_stream(d, limit)
         for n in range(1, limit + 1):
             assert int(s[n]) == oracle[n] % d, (d, n)

@@ -274,6 +274,25 @@ def test_bad_input_exits_2(tmp_path, capsys):
         bad_f = write_json(tmp_path, "sieve_f.json", {**d, "f": f})
         assert main(["sieve", "--config", bad_f]) == 2
         assert "each 'f' entry must be" in capsys.readouterr().err
+    # integer fields and list entries are not truncated: 8.9 is not 8, true is not 1
+    spec = scan_spec_json()
+    fractional = {**spec, "modulus": 8.9, "residues": [3.7],
+                  "context": {**spec["context"], "group_order": 2.5}}
+    frac_spec = write_json(tmp_path, "spec_frac.json", fractional)
+    assert main(["scan", "--config", frac_spec, "--x", "1000", "--bound", "4800"]) == 2
+    assert "'group_order' must be a number" in capsys.readouterr().err
+    frac_residue = write_json(tmp_path, "spec_frac_res.json", {**spec, "residues": [3.7]})
+    assert main(["scan", "--config", frac_residue, "--x", "1000", "--bound", "4800"]) == 2
+    assert "each 'residues' entry must be a number" in capsys.readouterr().err
+    bool_order = write_json(
+        tmp_path, "ctx_bool.json",
+        {**MOD8_ABELIAN, "group_order": True, "abelian_conductor": 8.6},
+    )
+    assert main(["bounds", "--config", bool_order]) == 2
+    assert "'group_order' must be a number" in capsys.readouterr().err
+    frac_tuple = write_json(tmp_path, "sieve_frac_tuple.json", {**d, "tuple": [0, 4.5]})
+    assert main(["sieve", "--config", frac_tuple]) == 2
+    assert "each 'tuple' entry must be a number" in capsys.readouterr().err
 
 
 def test_unknown_command():

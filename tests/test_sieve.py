@@ -24,6 +24,7 @@ from chebgaps.sieve import (
     tuple_determinant,
     weight_table,
 )
+from chebgaps.variational import SimplexPolynomial
 
 ALL_PRIMES = GaloisContext(1, 1, 1, abelian_conductor=1)
 
@@ -299,7 +300,7 @@ def test_quadratic_scaling():
         ALL_PRIMES,
         0.9,
         0.05,
-        f=cfg.f.scale(3),
+        f=SimplexPolynomial.from_symmetric(2, {lam: 3 * c for lam, c in cfg.f.coeffs}),
         d0_override=3,
     )
     table, scaled_table = weight_table(cfg), weight_table(scaled)
