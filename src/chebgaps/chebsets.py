@@ -319,7 +319,8 @@ def represents(a: int, b: int, c: int, p: int) -> bool:
 
     The form must be positive definite (a > 0, b^2 - 4ac < 0) and primitive.
     Exhaustive: y is bounded by 4ap/|D|, and for each y the x-equation is a
-    quadratic with integer discriminant 4ap - |D| y^2.
+    quadratic with integer discriminant 4ap - |D| y^2. This is the test
+    oracle for QuadFormRep.is_member, which decides primes by reduction.
     """
     D = b * b - 4 * a * c
     if a <= 0 or D >= 0:
@@ -340,6 +341,63 @@ def represents(a: int, b: int, c: int, p: int) -> bool:
                 if (-b * y + sg) % (2 * a) == 0:
                     return True
         y += 1
+
+
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of the quadratic residue n mod the odd prime p
+    (Tonelli-Shanks)."""
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced form properly equivalent to the positive definite
+    (a, b, c): |b| <= a <= c, and b >= 0 when |b| = a or a = c (Cohen,
+    GTM 138, Algorithm 5.4.2). Each proper class has exactly one."""
+    D = b * b - 4 * a * c
+    while True:
+        b = (b + a - 1) % (2 * a) - a + 1  # -a < b <= a
+        c = (b * b - D) // (4 * a)
+        if a <= c:
+            break
+        a, b = c, -b
+    if a == c and b < 0:
+        b = -b
+    return a, b, c
+
+
+def _prime_form(D: int, p: int) -> tuple[int, int, int] | None:
+    """The reduced form of (p, b, (b^2 - D)/4p) with b^2 = D mod 4p, for a
+    prime p not dividing D; None when D is not a square mod 4p, that is when
+    no form of discriminant D represents p. The other root -b gives the
+    inverse class."""
+    if p == 2:
+        b = 1  # D is odd
+    else:
+        if pow(D, (p - 1) // 2, p) != 1:
+            return None
+        b = _sqrt_mod(D % p, p)
+        if (b - D) % 2:
+            b = p - b
+    if (b * b - D) % (4 * p):
+        return None
+    return _reduce_form(p, b, (b * b - D) // (4 * p))
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +564,10 @@ class QuadFormRep(ChebotarevSpec):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "context", context)
+        # a prime is represented by the form iff its prime form lies in the
+        # class of the form or of its inverse
+        classes = {_reduce_form(a, b, c), _reduce_form(a, -b, c)}
+        object.__setattr__(self, "_classes", frozenset(classes))
 
     @property
     def form_discriminant(self) -> int:
@@ -514,7 +576,7 @@ class QuadFormRep(ChebotarevSpec):
     def is_member(self, p: int) -> bool:
         if self.form_discriminant % p == 0 or self.context.discriminant % p == 0:
             return False
-        return represents(self.a, self.b, self.c, p)
+        return _prime_form(self.form_discriminant, p) in self._classes
 
     @property
     def spec_id(self) -> str:
@@ -617,16 +679,16 @@ def json_int_list(d: dict, key: str) -> list[int]:
 
 
 def json_number(d: dict, key: str, kind=int):
-    """d[key] as an int (see _json_int) or, with kind=float, as a float; a
-    bool, null, list or object raises ValueError, not TypeError, so the CLI
-    reports it as bad input."""
+    """d[key] as an int (see _json_int) or, with kind=float, as a float from
+    a JSON integer or float; a bool, string, null, list or object raises
+    ValueError, not TypeError, so the CLI reports it as bad input."""
     value = d[key]
     if kind is int:
         return _json_int(value, f"field {key!r}")
-    if not isinstance(value, bool):
+    if type(value) in (int, float):
         try:
-            return kind(value)
-        except TypeError:
+            return float(value)
+        except OverflowError:
             pass
     raise ValueError(f"field {key!r} must be a number, got {value!r}")
 
@@ -664,11 +726,92 @@ def all_primes_spec() -> Congruence:
 # ---------------------------------------------------------------------------
 
 
+# The batch kernels keep residues mod p in int64 and multiply two of them, so
+# a product stays below 2^62 only for p < 2^31. NumPy array arithmetic wraps
+# silently on int64 overflow: it raises no RuntimeWarning (only scalar
+# arithmetic does), so treating warnings as errors would not catch it, and
+# the cut has to be explicit.
+_BATCH_PRIME_LIMIT = 2**31
+# primes per kernel call, so the (degree, degree, block) work arrays stay
+# small however long the segment is
+_BLOCK = 4096
+
+
+def _residues(value: int, primes: np.ndarray) -> np.ndarray:
+    """value mod each prime, for a Python int of any size."""
+    if -(2**62) < value < 2**62:
+        return value % primes
+    return (value % primes.astype(object)).astype(np.int64)
+
+
+def _powmod(base: np.ndarray, exps: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """base ** exps mod primes elementwise, left-to-right over the bits."""
+    out = np.ones_like(primes)
+    for i in range(int(exps.max()).bit_length() - 1, -1, -1):
+        out = out * out % primes
+        out = np.where((exps >> i) & 1 == 1, out * base % primes, out)
+    return out
+
+
+def _frobenius_mask(spec: FactorizationType, primes: np.ndarray) -> np.ndarray:
+    """is_member for odd primes p < 2^31 and deg f <= 5, all at once.
+
+    h = x^p mod (f, p) by square-and-multiply over the bits of p; then the
+    order of Frobenius on F_p[x]/(f), the least k with x^(p^k) = x, is the lcm
+    of the factor degrees, and by Stickelberger's theorem the Legendre
+    symbol (disc f / p) is (-1)^(deg f - number of factors). For
+    deg f <= 5 the pair fixes the cycle type. Polynomials are (deg f, len p)
+    arrays of coefficients, low to high.
+    """
+    n = len(spec.poly) - 1
+    f = np.stack([_residues(c, primes) for c in spec.poly[:n]])
+
+    def times_x(v):
+        out = np.empty_like(v)
+        out[0] = 0
+        out[1:] = v[:-1]
+        out -= v[-1] * f  # x^n = -(f_0 + ... + f_{n-1} x^{n-1})
+        return out % primes
+
+    def mulmod(u, v):
+        acc = u[0] * v % primes
+        for i in range(1, n):
+            v = times_x(v)
+            acc += u[i] * v % primes
+        return acc % primes
+
+    one = np.zeros((n, len(primes)), dtype=np.int64)
+    one[0] = 1
+    x = times_x(one)
+    h = one
+    for i in range(int(primes.max()).bit_length() - 1, -1, -1):
+        h = mulmod(h, h)
+        h = np.where((primes >> i) & 1 == 1, times_x(h), h)
+    # column j of Frobenius on the basis 1, x, ..., x^(n-1) is h^j
+    cols = [one, h]
+    while len(cols) < n:
+        cols.append(mulmod(cols[-1], h))
+    order = math.lcm(*spec.cycle_type)
+    fixed_earlier = np.zeros(len(primes), dtype=bool)
+    v = h  # x^(p^k), k = 1, 2, ...
+    for _ in range(order - 1):
+        fixed_earlier |= (v == x).all(axis=0)
+        v = sum(v[j] * cols[j] % primes for j in range(n)) % primes
+    disc = _residues(spec.poly_discriminant, primes)
+    sign = 1 if (n - len(spec.cycle_type)) % 2 == 0 else -1
+    legendre = _powmod(disc, (primes - 1) // 2, primes)
+    mask = (v == x).all(axis=0) & ~fixed_earlier & (legendre == sign % primes)
+    return mask & (disc != 0) & (_residues(spec.context.discriminant, primes) != 0)
+
+
 def members_in_segment(spec: ChebotarevSpec, primes: np.ndarray) -> np.ndarray:
     """Filter an ascending array of primes down to the spec's members.
 
-    Congruence and stream specs vectorize; factorization and form specs loop
-    with their specialized kernels.
+    Congruence and stream specs vectorize. Factorization specs of degree
+    <= 5 run the batch Frobenius kernel on the odd primes below 2^31, in
+    blocks of _BLOCK primes; p = 2, p >= 2^31, higher degrees and quadratic
+    forms loop over is_member, which decides a form by reduction in
+    O(log p) steps.
     """
     if len(primes) == 0:
         return primes
@@ -680,6 +823,15 @@ def members_in_segment(spec: ChebotarevSpec, primes: np.ndarray) -> np.ndarray:
         s = spec._stream_upto(int(primes[-1]))
         mask = np.asarray(s[primes] % spec.d == spec.target)
         mask &= (spec.d % primes != 0) & (spec.level % primes != 0)
+        return primes[mask]
+    if isinstance(spec, FactorizationType) and len(spec.poly) <= 6:
+        lo, hi = np.searchsorted(primes, [3, _BATCH_PRIME_LIMIT]).tolist()
+        mask = np.zeros(len(primes), dtype=bool)
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            mask[start:stop] = _frobenius_mask(spec, primes[start:stop])
+        for i in [*range(lo), *range(hi, len(primes))]:
+            mask[i] = spec.is_member(int(primes[i]))
         return primes[mask]
     return np.array([p for p in primes.tolist() if spec.is_member(p)], dtype=np.int64)
 

@@ -14,6 +14,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chebsets import ChebotarevSpec, GaloisContext, NewformCongruence, members_in_segment
 from .primes import iter_prime_segments
 
@@ -66,21 +68,26 @@ class _Accum:
         self.hist: dict[int, int] = {}
 
     def feed(self, members, bound: int) -> None:
-        for p in members:
-            p = int(p)
-            self.count += 1
-            if self.first is None:
-                self.first = p
-            if self.prev is not None:
-                gap = p - self.prev
-                key = min(gap, GAP_CAP)
-                self.hist[key] = self.hist.get(key, 0) + 1
-                if self.min_gap is None or key < self.min_gap:
-                    self.min_gap = key
-                    self.min_pair = (self.prev, p)
-                if gap <= bound:
-                    self.pairs_in += 1
-            self.prev = p
+        """Take in the next members, ascending and above self.prev."""
+        members = np.asarray(members, dtype=np.int64)
+        if len(members) == 0:
+            return
+        if self.first is None:
+            self.first = int(members[0])
+        seq = members if self.prev is None else np.concatenate(([self.prev], members))
+        self.count += len(members)
+        self.prev = int(members[-1])
+        if len(seq) < 2:
+            return
+        gaps = np.diff(seq)
+        self.pairs_in += int(np.count_nonzero(gaps <= bound))
+        keys = np.minimum(gaps, GAP_CAP)
+        i = int(np.argmin(keys))  # the first least gap, as a member loop finds it
+        if self.min_gap is None or keys[i] < self.min_gap:
+            self.min_gap = int(keys[i])
+            self.min_pair = (int(seq[i]), int(seq[i + 1]))
+        for g, c in zip(*(a.tolist() for a in np.unique(keys, return_counts=True))):
+            self.hist[g] = self.hist.get(g, 0) + c
 
 
 def _scan_range(spec: ChebotarevSpec, lo: int, hi: int, bound: int) -> _Accum:

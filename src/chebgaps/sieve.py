@@ -48,6 +48,11 @@ from .primes import PrimeTable, primorial_below, sieve_range
 from .variational import SimplexPolynomial, integral_I, integral_J_sum
 
 
+# primorial(10^4) has about 14,000 bits, so W = primorial(D0) exceeds 2N for
+# every N a desk-scale run reaches; the cap keeps W cheap to build
+D0_MAX = 10**4
+
+
 def default_d0(n: int) -> float:
     """The asymptotic choice log log log n; below 1 for every feasible n,
     which is why runs override it."""
@@ -130,6 +135,8 @@ def build_config(
     if tup.k != k:
         raise ValueError("k disagrees with the tuple length")
     d0 = default_d0(n_start) if d0_override is None else float(d0_override)
+    if not (math.isfinite(d0) and d0 <= D0_MAX):
+        raise ValueError(f"d0 must be finite and at most {D0_MAX}, got {d0}")
     w = primorial_below(d0) if d0 >= 2 else 1
     delta_abs = abs(context.discriminant)
     for p in prime_divisors(delta_abs):
@@ -146,6 +153,11 @@ def build_config(
         residues.append(u_p)
         moduli.append(p)
     u0 = crt(residues, moduli) if moduli else 0
+    if n_start + (u0 - n_start) % u >= 2 * n_start:
+        raise ValueError(
+            f"no n = u0 mod U lies in [N, 2N) = [{n_start}, {2 * n_start}) "
+            f"with U = {u}; lower d0 or raise n_start"
+        )
     if f is None:
         f = SimplexPolynomial.from_symmetric(k, {(): 1, (1,): -1})  # 1 - P1
     r_limit = n_start ** (theta / 2 - epsilon)

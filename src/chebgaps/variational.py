@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import comb
 
@@ -123,6 +123,11 @@ class SimplexPolynomial:
                 out[perm] = out.get(perm, Fraction(0)) + c
         return SimplexPolynomial(self.k, "dense", out)
 
+    @cached_property
+    def _dense_terms(self) -> tuple:
+        """to_dense().coeffs, expanded once per polynomial for evaluate."""
+        return self.to_dense().coeffs
+
     def evaluate(self, point) -> Fraction:
         """Exact value at a rational point; 0 outside the closed simplex."""
         pt = tuple(Fraction(x) for x in point)
@@ -131,7 +136,7 @@ class SimplexPolynomial:
         if any(x < 0 for x in pt) or sum(pt) > 1:
             return Fraction(0)
         total = Fraction(0)
-        for exps, c in self.to_dense().coeffs:
+        for exps, c in self._dense_terms:
             v = c
             for e, x in zip(exps, pt):
                 v *= x**e

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -180,9 +181,12 @@ def test_json_integer_fields():
     for key in ("half", "bool", "str", "null"):
         with pytest.raises(ValueError, match=f"'{key}' must be a number"):
             json_number(d, key)
-    for key in ("bool", "null"):
+    assert json_number(d, "one", float) == 7.0 and type(json_number(d, "one", float)) is float
+    for key in ("bool", "null", "str", "list"):
         with pytest.raises(ValueError, match=f"'{key}' must be a number"):
             json_number(d, key, float)
+    with pytest.raises(ValueError, match="'huge' must be a number"):
+        json_number({"huge": 10**400}, "huge", float)
     for key in ("bad_list", "bool_list"):
         with pytest.raises(ValueError, match=f"each '{key}' entry"):
             json_int_list(d, key)
@@ -232,6 +236,39 @@ def test_quad_form_spec():
     assert members == [p for p in sieve_range(3, 500) if p % 4 == 1]
     assert not spec.is_member(2)  # excluded though 2 = 1^2 + 1^2 is represented
     assert represents(1, 0, 1, 2)
+
+
+def test_quad_form_reduction_vs_represents():
+    # D = -4, -20, -23, -56: class numbers 1, 2, 3 and 4; the forms
+    # (2, 1, 3) and (2, -1, 3) are inverse classes of D = -23
+    forms = [(1, 0, 1), (1, 0, 5), (2, 2, 3), (1, 1, 6), (2, 1, 3), (2, -1, 3),
+             (1, 0, 14), (2, 0, 7), (3, 2, 5)]
+    for a, b, c in forms:
+        spec = QuadFormRep(a, b, c, GaloisContext(1, 1, 1))
+        D = spec.form_discriminant
+        for p in sieve_range(2, 3000):
+            if D % p:
+                assert spec.is_member(p) == represents(a, b, c, p), (a, b, c, p)
+
+
+def test_reduce_form_is_a_class_invariant():
+    rnd = random.Random(3)
+    # (2, 1, 2) and (3, 3, 5) sit on the boundary a = c and |b| = a
+    for a, b, c in [(2, 1, 3), (3, 2, 5), (1, 0, 14), (4, 3, 5), (2, 1, 2), (3, 3, 5)]:
+        want = chebsets._reduce_form(a, b, c)
+        ra, rb, rc = want
+        assert abs(rb) <= ra <= rc and (rb >= 0 or (abs(rb) < ra < rc))
+        for _ in range(50):
+            # (x, y) -> (p x + q y, r x + s y) with p s - q r = 1
+            pp, qq = rnd.randrange(-30, 31), rnd.randrange(1, 31)
+            if math.gcd(pp, qq) != 1:
+                continue
+            s_ = pow(pp, -1, qq)
+            r_ = (pp * s_ - 1) // qq
+            A = a * pp * pp + b * pp * r_ + c * r_ * r_
+            B = 2 * a * pp * qq + b * (pp * s_ + qq * r_) + 2 * c * r_ * s_
+            C = a * qq * qq + b * qq * s_ + c * s_ * s_
+            assert chebsets._reduce_form(A, B, C) == want
 
 
 # -- tau ---------------------------------------------------------------------------
@@ -346,6 +383,66 @@ def test_members_in_segment_matches_loop(monkeypatch):
         got = members_in_segment(spec, seg).tolist()
         want = [p for p in seg.tolist() if spec.is_member(p)]
         assert got == want
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        return [()]
+    return [(*rest, d) for d in range(min(n, largest), 0, -1)
+            for rest in _partitions(n - d, d)]
+
+
+def test_frobenius_kernel_every_cycle_type():
+    # the (Frobenius order, Legendre sign) pair fixes the type for degree <= 5,
+    # including (1, 1, 2) against (2, 2) and (1, 1, 1, 2) against (1, 2, 2)
+    seg = np.array(sieve_range(2, 5000))
+    polys = [(3, 1), (2, 0, 1), (-1, -1, 0, 1), (-1, -1, 0, 0, 1), (1, 0, 0, 0, 1),
+             (-1, -1, 0, 0, 0, 1), (3, -3, 0, 0, 0, 1)]
+    for f in polys:
+        n = len(f) - 1
+        disc = poly_discriminant(f)
+        oracle = {p: factorization_type(f, p) for p in seg.tolist() if disc % p}
+        seen = set()
+        for ct in _partitions(n):
+            spec = FactorizationType(f, ct, GaloisContext(1, 1, 1))
+            got = members_in_segment(spec, seg).tolist()
+            assert got == [p for p, t in oracle.items() if t == ct], (f, ct)
+            seen.update([ct] if got else [])
+        if f in ((-1, -1, 0, 0, 1), (-1, -1, 0, 0, 0, 1)):  # Galois group S_n
+            assert seen == set(_partitions(n))
+
+
+def test_frobenius_kernel_prime_split(monkeypatch):
+    # p = 2 and p >= 2^31 go through is_member, every other prime through the
+    # int64 kernel, whose products of residues stay below 2^62
+    spec = FactorizationType((-1, -1, 0, 0, 1), (4,), GaloisContext(24, 6, -283))
+    oracle = FactorizationType.is_member
+    seg = np.array([2, 3, 5, 7, *sieve_range(2**31 - 400, 2**31 + 400)])
+    want = [p for p in seg.tolist() if oracle(spec, p)]
+    assert want[0] == 2 and want[-1] > 2**31 and any(p < 2**31 for p in want[1:])
+    looped = []
+
+    def recording(self, p):
+        looped.append(p)
+        return oracle(self, p)
+
+    monkeypatch.setattr(FactorizationType, "is_member", recording)
+    assert members_in_segment(spec, seg).tolist() == want
+    assert looped == [2] + [p for p in seg.tolist() if p >= 2**31]
+
+
+def test_degree_six_loops_over_is_member(monkeypatch):
+    # (2, 2, 2) and (1, 1, 1, 1, 2) share order and sign, so degree 6 loops
+    def no_kernel(spec, primes):
+        raise AssertionError("degree 6 reached the batch kernel")
+
+    monkeypatch.setattr(chebsets, "_frobenius_mask", no_kernel)
+    seg = np.array(sieve_range(2, 3000))
+    for ct in ((2, 2, 2), (1, 1, 1, 1, 2)):
+        spec = FactorizationType((-1, -1, 0, 0, 0, 0, 1), ct, GaloisContext(1, 1, 1))
+        got = members_in_segment(spec, seg).tolist()
+        assert got and got == [p for p in seg.tolist() if spec.is_member(p)]
 
 
 def test_newform_stream_grows_from_what_is_read(monkeypatch):

@@ -293,6 +293,20 @@ def test_bad_input_exits_2(tmp_path, capsys):
     frac_tuple = write_json(tmp_path, "sieve_frac_tuple.json", {**d, "tuple": [0, 4.5]})
     assert main(["sieve", "--config", frac_tuple]) == 2
     assert "each 'tuple' entry must be a number" in capsys.readouterr().err
+    # d0 = 40 makes U > 2N: no n = u0 mod U in [N, 2N), so S1 would be 0
+    empty = write_json(tmp_path, "sieve_empty.json", {**d, "d0": 40})
+    for extra in ([], ["--json"]):
+        assert main(["sieve", "--config", empty, *extra]) == 2
+        assert "no n = u0 mod U lies in [N, 2N)" in capsys.readouterr().err
+    # d0 is checked before the primorial sieves anything
+    for d0 in (float("inf"), float("nan"), 1e9):
+        bad_d0 = write_json(tmp_path, "sieve_d0.json", {**d, "d0": d0})
+        assert main(["sieve", "--config", bad_d0]) == 2
+        assert "d0 must be finite and at most" in capsys.readouterr().err
+    for d0 in ("5", True, 10**400):
+        bad_d0 = write_json(tmp_path, "sieve_d0.json", {**d, "d0": d0})
+        assert main(["sieve", "--config", bad_d0]) == 2
+        assert "'d0' must be a number" in capsys.readouterr().err
 
 
 def test_unknown_command():

@@ -1,6 +1,8 @@
 import json
 import os
+import random
 
+import numpy as np
 import pytest
 
 import chebgaps.gapscan as gapscan
@@ -112,6 +114,72 @@ def test_scan_pool_capped_at_cpu_count(monkeypatch):
     assert workers == 4
     assert ranges == workers
     assert par == scan(mod8_spec(), 10**4, 4800)
+
+
+def loop_state(members, bound, cap):
+    """The gap statistics of ascending members, taken one member at a time."""
+    prev, min_gap, min_pair, pairs_in, hist = None, None, None, 0, {}
+    for p in members:
+        if prev is not None:
+            gap = p - prev
+            key = min(gap, cap)
+            hist[key] = hist.get(key, 0) + 1
+            if min_gap is None or key < min_gap:
+                min_gap, min_pair = key, (prev, p)
+            pairs_in += gap <= bound
+        prev = p
+    first = members[0] if members else None
+    return [first, prev, len(members), min_gap, min_pair, pairs_in, hist]
+
+
+def accum_state(acc):
+    return [acc.first, acc.prev, acc.count, acc.min_gap, acc.min_pair, acc.pairs_in, acc.hist]
+
+
+def test_feed_matches_member_loop(monkeypatch):
+    # a low cap puts many gaps in the overflow bucket, and the least gap
+    # occurs several times, so the first occurrence must win
+    monkeypatch.setattr(gapscan, "GAP_CAP", 30)
+    rnd = random.Random(7)
+    members = sorted(rnd.sample(range(2, 6000), 400))
+    want = loop_state(members, 12, 30)
+    assert list(np.diff(members)).count(want[3]) > 1
+    for _ in range(30):
+        cuts = sorted(rnd.choices(range(len(members) + 1), k=rnd.randrange(8)))
+        acc = gapscan._Accum()
+        for lo, hi in zip([0, *cuts], [*cuts, len(members)]):
+            acc.feed(np.array(members[lo:hi], dtype=np.int64), 12)
+        assert accum_state(acc) == want
+        assert all(type(v) is int for v in (acc.first, acc.prev, acc.min_gap, *acc.min_pair))
+        assert all(type(g) is int and type(c) is int for g, c in acc.hist.items())
+
+
+class InProcessPool:
+    """ProcessPoolExecutor's map, run in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_parallel_stitch_matches_member_loop(monkeypatch):
+    monkeypatch.setattr(gapscan, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    monkeypatch.setattr(gapscan, "GAP_CAP", 40)
+    members = [p for p in sieve_range(2, 10**5 + 1) if p % 8 == 3]
+    first, prev, count, min_gap, min_pair, pairs_in, hist = loop_state(members, 16, 40)
+    for threads in (1, 2, 3, 7):
+        r = scan(mod8_spec(), 10**5, 16, threads=threads)
+        assert (r.prime_count, r.min_gap, r.min_gap_pair) == (count, min_gap, min_pair)
+        assert (r.pairs_within_bound, r.histogram) == (pairs_in, hist)
 
 
 def test_scan_monotone_in_limit():

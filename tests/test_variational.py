@@ -101,6 +101,21 @@ def test_evaluate_inside_and_outside():
         f.evaluate((Fraction(1, 4),))
 
 
+def test_evaluate_expands_once(monkeypatch):
+    g = SimplexPolynomial.from_symmetric(3, {(): 2, (1,): -1, (2, 1): Fraction(3, 7)})
+    pt = (Fraction(1, 5), Fraction(1, 7), Fraction(1, 3))
+    want = sum(
+        (c * math.prod(x**e for x, e in zip(pt, exps)) for exps, c in g.to_dense().coeffs),
+        Fraction(0),
+    )
+    expanded = []
+    to_dense = SimplexPolynomial.to_dense
+    monkeypatch.setattr(SimplexPolynomial, "to_dense",
+                        lambda self: expanded.append(self) or to_dense(self))
+    assert [g.evaluate(pt) for _ in range(5)] == [want] * 5
+    assert expanded == [g]
+
+
 def test_dense_symmetric_round_trip():
     g = SimplexPolynomial.from_symmetric(3, {(): 2, (1,): -1, (2, 1): Fraction(3, 7)})
     dense = g.to_dense()
