@@ -172,16 +172,25 @@ def _random_poly(rng: np.random.Generator) -> SimplexPolynomial:
     return f if not f.is_zero else SimplexPolynomial.from_dense(k, {tuple([1] + [0] * (k - 1)): 1})
 
 
-def _values(terms, x: np.ndarray) -> np.ndarray:
-    """Per row of x, the sum over terms ((e_1, ..., e_k), c) of c * prod x_j^e_j."""
-    vals = np.zeros(len(x))
+def _values(terms, cols: list[np.ndarray]) -> np.ndarray:
+    """At each point (one entry per column x_j), the sum over terms
+    ((e_1, ..., e_k), c) of c * prod x_j^e_j."""
+    vals = np.zeros(len(cols[0]))
     for exps, c in terms:
         term = c
-        for j, e in enumerate(exps):
+        for col, e in zip(cols, exps):
             if e:
-                term = term * x[:, j] ** e
+                term = term * col ** e
         vals += term
     return vals
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=1) bit for bit, added column by column at a fraction of its cost."""
+    total = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        total += x[:, j]
+    return total
 
 
 def _mc_integrals(f: SimplexPolynomial, rng: np.random.Generator, samples: int):
@@ -190,17 +199,19 @@ def _mc_integrals(f: SimplexPolynomial, rng: np.random.Generator, samples: int):
     int_0^s F dt1 has terms ((a+1, e_2, ...), c/(a+1)) in (s, t_2, ...)."""
     i_terms = [(exps, float(c)) for exps, c in f.coeffs]
     j_terms = [((a + 1, *rest), float(c) / (a + 1)) for (a, *rest), c in f.coeffs]
+    sq = np.empty(samples)
     out = []
     for terms, width in ((i_terms, f.k), (j_terms, f.k - 1)):
         x = rng.random((samples, width))
-        total = x.sum(axis=1)
-        inside = total <= 1.0
-        x = x[inside]  # F is evaluated only inside the simplex
-        if width < f.k:
-            x = np.column_stack((1.0 - total[inside], x))
-        vals = _values(terms, x)
-        sq = np.zeros(samples)
-        sq[inside] = vals * vals
+        total = _row_sums(x)
+        idx = np.flatnonzero(total <= 1.0)
+        cols = [1.0 - total[idx]] if width < f.k else []  # J's first variable, s
+        del total  # freed before the copy below, which can reuse its memory: a lower peak RSS
+        x = x.take(idx, axis=0)  # F is evaluated only inside the simplex
+        cols += [x[:, j] for j in range(width)]
+        vals = _values(terms, cols)
+        sq.fill(0.0)
+        sq[idx] = vals * vals
         out.append((sq.mean(), sq.std(ddof=1) / math.sqrt(samples)))
     return out
 
@@ -315,16 +326,16 @@ def _brute_lambda(d1: int, d2: int, cfg) -> Fraction:
     return mobius(d1) * d1 * mobius(d2) * d2 * total
 
 
-def _brute_divisors(n: int) -> list[int]:
+def _brute_divisors(n: int, cap: float) -> list[int]:
+    """The divisors d < cap of n, by trial division. _brute_lambda is 0
+    whenever d1 * d2 >= r_limit, so the sums need no divisor at or above it."""
     out = []
     d = 1
-    while d * d <= n:
+    while d < cap and d <= n:
         if n % d == 0:
             out.append(d)
-            if d != n // d:
-                out.append(n // d)
         d += 1
-    return sorted(out)
+    return out
 
 
 def _brute_sums(cfg, spec) -> tuple[Fraction, Fraction]:
@@ -342,8 +353,8 @@ def _brute_sums(cfg, spec) -> tuple[Fraction, Fraction]:
     while n < 2 * cfg.n_start:
         if n % cfg.u_modulus == cfg.u0 % cfg.u_modulus:
             inner = Fraction(0)
-            for d1 in _brute_divisors(n + h1):
-                for d2 in _brute_divisors(n + h2):
+            for d1 in _brute_divisors(n + h1, cfg.r_limit):
+                for d2 in _brute_divisors(n + h2, cfg.r_limit):
                     inner += lam(d1, d2)
             w_n = inner * inner
             s1 += w_n

@@ -9,7 +9,16 @@ property of asymptotics at desk scale, not of the computation. The test
 states the requirement as written and therefore fails.
 """
 
+import hashlib
+
+import numpy as np
+import pytest
+
 from chebgaps.verify import (
+    _brute_divisors,
+    _mc_integrals,
+    _random_poly,
+    _row_sums,
     criterion_1_threshold,
     criterion_2_abelian_constants,
     criterion_3_proof_chain,
@@ -73,12 +82,43 @@ def test_criterion_06_random_stream_pinned():
         ), seed
 
 
+# sha256 of every (estimate, sigma) float.hex pair of _mc_integrals at seeds
+# 0-11, 10 polynomials each, 10^4 samples: the bits behind CRITERION_6_SMALL
+CRITERION_6_BITS = "360fd78fbd576dd70311c1b1da9df5768946669d4f13263c4604b0bff3267203"
+
+
+def test_criterion_06_bits_pinned():
+    h = hashlib.sha256()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            f = _random_poly(rng)
+            for est, sig in _mc_integrals(f, rng, 10**4):
+                h.update(f"{est.hex()} {sig.hex()}\n".encode())
+    assert h.hexdigest() == CRITERION_6_BITS
+    # the inside mask rests on the column-by-column row sums
+    rng = np.random.default_rng(2024)
+    for width in range(1, 6):
+        x = rng.random((10**5, width))
+        assert np.array_equal(_row_sums(x).view(np.int64), x.sum(axis=1).view(np.int64)), width
+
+
 def test_criterion_07_m105_exceeds_4():
     check(criterion_7_m105())
 
 
 def test_criterion_08_sieve_brute_force():
-    check(criterion_8_sieve_brute_force())
+    result = criterion_8_sieve_brute_force()
+    check(result)
+    assert result.detail == "S1 = 3333 (brute 3333), S2 = 1060 (brute 1060), lambda match: True"
+
+
+def test_criterion_08_capped_divisors():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 3001):
+        divisors = sympy.divisors(n)
+        for cap in (1, 2, 5.623413251903492, 10, 100):  # 5.62...: the demo config's r_limit
+            assert _brute_divisors(n, cap) == [d for d in divisors if d < cap], (n, cap)
 
 
 def test_criterion_09_sieve_ratio_prediction():
