@@ -115,34 +115,8 @@ def _polymulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
     return _polymod(out, g, p)
 
 
-def _frob3(f0: int, f1: int, f2: int, p: int) -> tuple[int, int, int]:
-    """x^p mod (x^3 + f2 x^2 + f1 x + f0) over Z/p, square-and-multiply.
-
-    Specialized kernel: this is the inner loop of cubic splitting-type scans.
-    """
-    r2 = (f2 * f2 - f1) % p
-    r1 = (f2 * f1 - f0) % p
-    r0 = (f2 * f0) % p
-    a0, a1, a2 = 0, 1, 0  # the polynomial x
-    for bit in bin(p)[3:]:
-        t0 = a0 * a0
-        t1 = 2 * a0 * a1
-        t2 = a1 * a1 + 2 * a0 * a2
-        t3 = 2 * a1 * a2
-        t4 = a2 * a2
-        a0 = (t0 - t3 * f0 + t4 * r0) % p
-        a1 = (t1 - t3 * f1 + t4 * r1) % p
-        a2 = (t2 - t3 * f2 + t4 * r2) % p
-        if bit == "1":
-            a0, a1, a2 = (-a2 * f0) % p, (a0 - a2 * f1) % p, (a1 - a2 * f2) % p
-    return a0, a1, a2
-
-
 def _poly_pow_x(e: int, g: list[int], p: int) -> list[int]:
     """x^e mod (g, p) by binary exponentiation; g monic of degree >= 1."""
-    if e == p and len(g) == 4 and g[3] == 1 and p > 2:
-        a0, a1, a2 = _frob3(g[0], g[1], g[2], p)  # cubic hot path
-        return _trim([a0, a1, a2])
     acc = [1]
     base = _polymod([0, 1], g, p)
     while e:

@@ -14,6 +14,10 @@ import numpy as np
 
 DEFAULT_SEGMENT = 1 << 20
 
+# a PrimeTable holds a byte per integer up to its limit plus the primes as
+# int64: about 1.4 GB at this cap, so larger limits fail before allocating
+PRIME_TABLE_MAX = 10**9
+
 
 def _small_sieve(limit: int) -> np.ndarray:
     """Boolean primality mask for [0, limit]."""
@@ -75,6 +79,8 @@ class PrimeTable:
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("PrimeTable limit must be >= 2")
+        if limit > PRIME_TABLE_MAX:
+            raise ValueError(f"PrimeTable limit {limit} exceeds {PRIME_TABLE_MAX}")
         self.limit = limit
         self._mask = _small_sieve(limit)
         self._primes = np.flatnonzero(self._mask)

@@ -22,17 +22,19 @@ agree exactly.
 
 Scale warning: this is a demonstration sieve. The per-n enumeration is
 feasible for N up to ~10^7 and k up to ~4 (perfbench's k = 2 demo config at
-N = 10^7 takes about 5 s and 87 MB on a 2-core Xeon VM); the asymptotic
-statements it is compared against only kick in far beyond that, so
-predicted/observed ratios are loose.
+N = 10^7 takes about 1.7 s and 88 MB on a 2-core Xeon VM, 29 MB of it the
+prime table to 2N); the asymptotic statements it is compared against only
+kick in far beyond that, so predicted/observed ratios are loose.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from .admissible import Tuple, is_admissible
 from .arith import crt, euler_phi, is_squarefree, mobius, prime_divisors, rad
@@ -42,6 +44,7 @@ from .chebsets import (
     json_int_list,
     json_list,
     json_number,
+    members_in_segment,
     spec_from_json,
 )
 from .primes import PrimeTable, primorial_below, sieve_range
@@ -275,13 +278,17 @@ def lambda_table(cfg: SieveConfig) -> dict[tuple[int, ...], Fraction]:
 
 @dataclass(frozen=True)
 class WeightTable:
-    entries: dict  # n -> w_n, exact Fraction
-    # [cfg, spec, hit counts] of the last membership pass over this table, so
-    # that one pass serves both sum_s2 and s_functional's window list
-    _last_pass: list = field(default_factory=list, init=False, compare=False, repr=False)
+    """The one pass over n = u0 mod U in [N, 2N). For n = ns[i],
+    w_n = weights[pattern[i]] and hits[i] = #{m : n + h_m is a prime in the
+    set}. S1, S2 and the window list are reductions of it."""
+
+    ns: np.ndarray  # int64, ascending
+    pattern: np.ndarray  # int64 index into weights, one per n
+    weights: tuple  # exact Fraction w per distinct divisor pattern
+    hits: np.ndarray  # int64, one per n
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ns)
 
 
 def _divisor_candidates(m: int, sieving: list[int], r_limit: float) -> tuple[int, ...]:
@@ -294,8 +301,8 @@ def _divisor_candidates(m: int, sieving: list[int], r_limit: float) -> tuple[int
     return tuple(divs)
 
 
-def weight_table(cfg: SieveConfig) -> WeightTable:
-    """w_n over n = u0 mod U in [N, 2N).
+def weight_table(cfg: SieveConfig, spec: ChebotarevSpec) -> WeightTable:
+    """w_n and the hit counts over n = u0 mod U in [N, 2N), in one pass.
 
     A support divisor d_i | n + h_i is squarefree, below R and coprime to W,
     so it is built only from the sieving primes p < R with p not dividing W,
@@ -303,55 +310,55 @@ def weight_table(cfg: SieveConfig) -> WeightTable:
     and nothing is factored. w_n is the square of the sum of lambda over the
     support vectors in the product of the k candidate lists, so it depends
     only on that tuple of lists (the divisor pattern of n): it is computed
-    once per pattern, and entries with the same pattern share one Fraction.
+    once per pattern, and each n keeps only its pattern's index.
     """
+    hs = list(cfg.tuple)
+    # built first: an N past the table's cap fails before any other work
+    pt = PrimeTable(2 * cfg.n_start + max(hs) + 1)
     lams = lambda_table(cfg)
     sieving = [p for p in sieve_range(0, math.ceil(cfg.r_limit)) if cfg.w_modulus % p]
-    hs = list(cfg.tuple)
-    u = cfg.u_modulus
-    first = cfg.n_start + (cfg.u0 - cfg.n_start) % u
-    by_pattern: dict = {}
-    entries = {}
-    for n in range(first, 2 * cfg.n_start, u):
+    first = cfg.n_start + (cfg.u0 - cfg.n_start) % cfg.u_modulus
+    ns = np.arange(first, 2 * cfg.n_start, cfg.u_modulus, dtype=np.int64)
+    index: dict = {}
+    weights = []
+    pattern = np.empty(len(ns), dtype=np.int64)
+    for i, n in enumerate(ns.tolist()):
         cands = tuple(_divisor_candidates(n + h, sieving, cfg.r_limit) for h in hs)
-        w = by_pattern.get(cands)
-        if w is None:
+        j = index.get(cands)
+        if j is None:
             acc = sum((lams[dv] for dv in product(*cands) if dv in lams), Fraction(0))
-            w = by_pattern[cands] = acc * acc
-        entries[n] = w
-    return WeightTable(entries)
+            j = index[cands] = len(weights)
+            weights.append(acc * acc)
+        pattern[i] = j
+    # n + h_m is prime when a binary search finds it among the table's primes;
+    # membership is decided once per distinct prime shift, in one call of the
+    # scan's kernels
+    shifted = ns[:, None] + np.array(hs, dtype=np.int64)
+    primes = pt.primes
+    is_prime = primes.take(np.searchsorted(primes, shifted), mode="clip") == shifted
+    distinct, inverse = np.unique(shifted[is_prime], return_inverse=True)
+    member = np.zeros(len(distinct), dtype=bool)
+    member[np.searchsorted(distinct, members_in_segment(spec, distinct))] = True
+    hits = np.bincount(np.nonzero(is_prime)[0][member[inverse]], minlength=len(ns))
+    return WeightTable(ns, pattern, tuple(weights), hits)
 
 
-def sum_s1(cfg: SieveConfig, table: WeightTable) -> Fraction:
+def _pattern_sum(table: WeightTable, counts: np.ndarray) -> Fraction:
+    # sum of weights[j] * counts[j], exact, over one common denominator
+    den = math.lcm(*(w.denominator for w in table.weights))
+    pairs = zip(table.weights, counts.tolist())
+    return Fraction(sum(c * w.numerator * (den // w.denominator) for w, c in pairs), den)
+
+
+def sum_s1(table: WeightTable) -> Fraction:
     """S1 = sum of w_n, exact."""
-    return sum(table.entries.values(), Fraction(0))
+    return _pattern_sum(table, np.bincount(table.pattern, minlength=len(table.weights)))
 
 
-def _hit_counts(cfg: SieveConfig, spec: ChebotarevSpec, table: WeightTable) -> list[int]:
-    """#{m : n + h_m is a member of the set} for each n of the table, in
-    table order (a list, not a dict keyed by n, to keep the run's peak
-    memory down). A second call with the same cfg and spec reuses the pass
-    kept on the table."""
-    last = table._last_pass
-    if last and last[0] is cfg and last[1] is spec:
-        return last[2]
-    pt = PrimeTable(2 * cfg.n_start + max(cfg.tuple) + 1)
-    hs = list(cfg.tuple)
-    hits = [
-        sum(1 for h in hs if pt.is_prime(n + h) and spec.is_member(n + h))
-        for n in table.entries
-    ]
-    last[:] = [cfg, spec, hits]
-    return hits
-
-
-def sum_s2(cfg: SieveConfig, spec: ChebotarevSpec, table: WeightTable) -> Fraction:
+def sum_s2(table: WeightTable) -> Fraction:
     """S2 = sum over m and n of chi_P(n + h_m) w_n, exact."""
-    total = Fraction(0)
-    for w, c in zip(table.entries.values(), _hit_counts(cfg, spec, table)):
-        if w and c:
-            total += c * w
-    return total
+    per_hit = np.repeat(table.pattern, table.hits)
+    return _pattern_sum(table, np.bincount(per_hit, minlength=len(table.weights)))
 
 
 def predicted_terms(cfg: SieveConfig, spec: ChebotarevSpec) -> tuple[float, float]:
@@ -408,12 +415,13 @@ def s_functional(cfg: SieveConfig, spec: ChebotarevSpec, rho) -> SResult:
     at least floor(rho + 1) members of the set at this N. The report lists
     every such n regardless of the sign of S."""
     rho = Fraction(rho)
-    table = weight_table(cfg)
-    s1 = sum_s1(cfg, table)
-    s2 = sum_s2(cfg, spec, table)
-    hits = _hit_counts(cfg, spec, table)  # the pass sum_s2 just made
+    table = weight_table(cfg, spec)
+    s1 = sum_s1(table)
+    s2 = sum_s2(table)
     threshold = math.floor(rho + 1)
-    windows = tuple((n, c) for n, c in zip(table.entries, hits) if c >= threshold)
+    windows = tuple(
+        (n, c) for n, c in zip(table.ns.tolist(), table.hits.tolist()) if c >= threshold
+    )
     return SResult(s2 - rho * s1, s1, s2, rho, threshold, windows)
 
 

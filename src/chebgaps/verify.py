@@ -375,9 +375,9 @@ def criterion_8_sieve_brute_force() -> CriterionResult:
     lam_ok = lam_ok and all(
         lambda_weight(d, cfg) == _brute_lambda(d[0], d[1], cfg) == 0 for d in off
     )
-    table = weight_table(cfg)
-    s1 = sum_s1(cfg, table)
-    s2 = sum_s2(cfg, spec, table)
+    table = weight_table(cfg, spec)
+    s1 = sum_s1(table)
+    s2 = sum_s2(table)
     bs1, bs2 = _brute_sums(cfg, spec)
     ok = lam_ok and s1 == bs1 and s2 == bs2
     return _result(
@@ -392,9 +392,9 @@ def criterion_8_sieve_brute_force() -> CriterionResult:
 def criterion_9_sieve_ratio() -> CriterionResult:
     t0 = time.time()
     cfg, spec = demo_config()
-    table = weight_table(cfg)
-    s1 = sum_s1(cfg, table)
-    s2 = sum_s2(cfg, spec, table)
+    table = weight_table(cfg, spec)
+    s1 = sum_s1(table)
+    s2 = sum_s2(table)
     pred_s1, pred_s2 = predicted_terms(cfg, spec)
     observed = float(s2 / s1)
     predicted = pred_s2 / pred_s1
@@ -402,7 +402,7 @@ def criterion_9_sieve_ratio() -> CriterionResult:
     ratio_ok = 0.5 <= factor <= 2.0
 
     # support and positivity invariants, exhaustively on the demo config
-    inv_ok = all(w >= 0 for w in table.entries.values()) and s1 >= 0 and 0 <= s2 <= cfg.k * s1
+    inv_ok = all(w >= 0 for w in table.weights) and s1 >= 0 and 0 <= s2 <= cfg.k * s1
     det_h = abs(tuple_determinant(cfg.tuple))
     guard = cfg.u_modulus * abs(cfg.context.discriminant) * det_h
     for vec in support_d_vectors(cfg):

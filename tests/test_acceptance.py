@@ -1,5 +1,7 @@
 """Acceptance gate: one test per verified claim, each printing its own
 pass/fail line (run with -s or look at the captured output on failure).
+Criteria other than 7 are read from one quick run at seed 0 (the
+quick_results fixture), the run `verify-paper --quick` makes.
 
 Criterion 9 compares the observed S2/S1 ratio of the demonstration sieve
 against its asymptotic main-term prediction at N = 10^5. The observed ratio
@@ -19,18 +21,8 @@ from chebgaps.verify import (
     _mc_integrals,
     _random_poly,
     _row_sums,
-    criterion_1_threshold,
-    criterion_2_abelian_constants,
-    criterion_3_proof_chain,
-    criterion_4_diameter,
-    criterion_5_dusart,
     criterion_6_variational_mc,
     criterion_7_m105,
-    criterion_8_sieve_brute_force,
-    criterion_9_sieve_ratio,
-    criterion_10_density,
-    criterion_11_gap_evidence,
-    criterion_12_tau_stream,
 )
 
 
@@ -39,28 +31,34 @@ def check(result):
     assert result.passed, result.detail
 
 
-def test_criterion_01_mk_positive_threshold():
-    check(criterion_1_threshold())
+def quick(results, number):
+    result = results[number - 1]
+    assert result.number == number
+    return result
 
 
-def test_criterion_02_abelian_constants():
-    check(criterion_2_abelian_constants())
+def test_criterion_01_mk_positive_threshold(quick_results):
+    check(quick(quick_results, 1))
 
 
-def test_criterion_03_nonabelian_proof_chain():
-    check(criterion_3_proof_chain())
+def test_criterion_02_abelian_constants(quick_results):
+    check(quick(quick_results, 2))
 
 
-def test_criterion_04_tuple_diameter():
-    check(criterion_4_diameter())
+def test_criterion_03_nonabelian_proof_chain(quick_results):
+    check(quick(quick_results, 3))
 
 
-def test_criterion_05_prime_index_bounds():
-    check(criterion_5_dusart())
+def test_criterion_04_tuple_diameter(quick_results):
+    check(quick(quick_results, 4))
 
 
-def test_criterion_06_integrals_monte_carlo():
-    check(criterion_6_variational_mc(seed=0))
+def test_criterion_05_prime_index_bounds(quick_results):
+    check(quick(quick_results, 5))
+
+
+def test_criterion_06_integrals_monte_carlo(quick_results):
+    check(quick(quick_results, 6))
 
 
 # (passed, worst deviation) of criterion 6 at 10 polynomials and 10^4 samples;
@@ -107,8 +105,8 @@ def test_criterion_07_m105_exceeds_4():
     check(criterion_7_m105())
 
 
-def test_criterion_08_sieve_brute_force():
-    result = criterion_8_sieve_brute_force()
+def test_criterion_08_sieve_brute_force(quick_results):
+    result = quick(quick_results, 8)
     check(result)
     assert result.detail == "S1 = 3333 (brute 3333), S2 = 1060 (brute 1060), lambda match: True"
 
@@ -121,17 +119,17 @@ def test_criterion_08_capped_divisors():
             assert _brute_divisors(n, cap) == [d for d in divisors if d < cap], (n, cap)
 
 
-def test_criterion_09_sieve_ratio_prediction():
-    check(criterion_9_sieve_ratio())
+def test_criterion_09_sieve_ratio_prediction(quick_results):
+    check(quick(quick_results, 9))
 
 
-def test_criterion_10_chebotarev_densities():
-    check(criterion_10_density())
+def test_criterion_10_chebotarev_densities(quick_results):
+    check(quick(quick_results, 10))
 
 
-def test_criterion_11_gap_scan_evidence():
-    check(criterion_11_gap_evidence())
+def test_criterion_11_gap_scan_evidence(quick_results):
+    check(quick(quick_results, 11))
 
 
-def test_criterion_12_tau_congruences():
-    check(criterion_12_tau_stream(seed=0))
+def test_criterion_12_tau_congruences(quick_results):
+    check(quick(quick_results, 12))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebgaps import __version__
+from chebgaps import __version__, cli
 from chebgaps.admissible import Tuple
 from chebgaps.chebsets import Congruence, GaloisContext, all_primes_spec, spec_from_json
 from chebgaps.cli import main
@@ -150,7 +150,7 @@ def test_sieve_run(tmp_path, capsys):
     path = write_json(tmp_path, "sieve.json", d)
     assert main(["sieve", "--config", path, "--json"]) == 0
     payload = out_json(capsys)
-    assert Fraction(payload["s1"]) == sum_s1(cfg, weight_table(cfg))
+    assert Fraction(payload["s1"]) == sum_s1(weight_table(cfg, all_primes_spec()))
     assert Fraction(payload["s_value"]) > 0
     assert payload["windows"]
 
@@ -204,7 +204,13 @@ def test_dusart(capsys):
 # -- verify-paper -------------------------------------------------------------------
 
 
-def test_verify_paper_quick(capsys):
+def test_verify_paper_quick(capsys, monkeypatch, quick_results):
+    # the criteria themselves run once, in the session's quick_results
+    def cached(quick, seed):
+        assert (quick, seed) == (True, 0)
+        return quick_results
+
+    monkeypatch.setattr(cli, "run_all", cached)
     # one ratio criterion fails honestly at demo scale, so the exit code is 1
     assert main(["verify-paper", "--quick", "--json"]) == 1
     payload = out_json(capsys)
@@ -307,6 +313,12 @@ def test_bad_input_exits_2(tmp_path, capsys):
         bad_d0 = write_json(tmp_path, "sieve_d0.json", {**d, "d0": d0})
         assert main(["sieve", "--config", bad_d0]) == 2
         assert "'d0' must be a number" in capsys.readouterr().err
+    # a prime table past PRIME_TABLE_MAX is refused before it is allocated
+    huge_n = write_json(tmp_path, "sieve_huge.json", {**d, "n_start": 10**12})
+    for argv in (["dusart", "6", str(10**12)], ["admissible", "--k", str(10**12)],
+                 ["sieve", "--config", huge_n]):
+        assert main(argv) == 2
+        assert f"exceeds {10**9}" in capsys.readouterr().err
 
 
 def test_unknown_command():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from chebgaps.primes import (
+    PRIME_TABLE_MAX,
     PrimeTable,
     iter_prime_segments,
     nth_prime_upper,
@@ -64,6 +65,9 @@ def test_prime_table_counts():
     assert pt.pi(1) == 0
     assert pt.is_prime(9973) and not pt.is_prime(9999)
     assert 97 in pt and 91 not in pt
+    # past the cap the table refuses before it allocates anything
+    with pytest.raises(ValueError, match="exceeds"):
+        PrimeTable(PRIME_TABLE_MAX + 1)
 
 
 def test_nth_prime_and_upper_bound():

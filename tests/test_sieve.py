@@ -1,12 +1,21 @@
+import json
 import math
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import chebgaps.sieve as sieve
 from chebgaps.admissible import Tuple
-from chebgaps.chebsets import GaloisContext, all_primes_spec
+from chebgaps.chebsets import (
+    Congruence,
+    FactorizationType,
+    GaloisContext,
+    NewformCongruence,
+    QuadFormRep,
+    all_primes_spec,
+)
 from chebgaps.primes import PrimeTable
 from chebgaps.sieve import (
     SieveConfig,
@@ -273,22 +282,72 @@ def test_sums_match_brute_force():
     for cfg in [small_config(), *k3]:
         lams = {dv: brute_lambda(dv, cfg) for dv in support_d_vectors(cfg)}
         s1_oracle, s2_oracle = brute_sums(cfg, lams)
-        table = weight_table(cfg)
-        assert sum_s1(cfg, table) == s1_oracle
-        assert sum_s2(cfg, all_primes_spec(), table) == s2_oracle
+        table = weight_table(cfg, all_primes_spec())
+        assert sum_s1(table) == s1_oracle
+        assert sum_s2(table) == s2_oracle
         assert s1_oracle > 0
+
+
+def k3_config():
+    return build_config(2000, 3, Tuple([0, 2, 6]), ALL_PRIMES, 0.9, 0.05, d0_override=3)
+
+
+# one spec per membership kernel; tau = 0 mod 691 has no prime in range
+ONE = GaloisContext(1, 1, 1)
+KERNEL_SPECS = [
+    QuadFormRep(2, 1, 3, ONE),
+    FactorizationType((-1, -1, 0, 1), (3,), ONE),
+    Congruence(8, {3, 5}, ONE),
+    NewformCongruence(3, 0, 1, ONE),
+    NewformCongruence(691, 0, 1, ONE),
+]
+
+
+def test_hits_match_scalar_membership():
+    """The hit counts, S2 and the window list against the scalar route:
+    w_n times #{m : n + h_m prime by trial division and is_member}."""
+    cfg = k3_config()
+    for spec in KERNEL_SPECS:
+        table = weight_table(cfg, spec)
+        hits = [
+            sum(1 for h in cfg.tuple if t_is_prime(n + h) and spec.is_member(n + h))
+            for n in table.ns.tolist()
+        ]
+        assert table.hits.tolist() == hits, spec
+        w = [table.weights[j] for j in table.pattern.tolist()]
+        assert sum_s2(table) == sum((wn * c for wn, c in zip(w, hits)), Fraction(0)), spec
+        res = s_functional(cfg, spec, 1)
+        assert list(res.windows) == [
+            (n, c) for n, c in zip(table.ns.tolist(), hits) if c >= 2
+        ], spec
+        assert bool(res.windows) == (spec is not KERNEL_SPECS[-1]), spec
+    assert sum_s2(table) == 0  # the empty tau spec
 
 
 def test_weight_table_invariants():
     cfg = small_config()
-    table = weight_table(cfg)
-    for n, w in table.entries.items():
-        assert w >= 0
-        assert cfg.n_start <= n < 2 * cfg.n_start
-        assert n % cfg.u_modulus == cfg.u0
-    s1 = sum_s1(cfg, table)
-    s2 = sum_s2(cfg, all_primes_spec(), table)
+    table = weight_table(cfg, all_primes_spec())
+    ns = table.ns.tolist()
+    assert ns == list(range(ns[0], 2 * cfg.n_start, cfg.u_modulus))
+    assert cfg.n_start <= ns[0] < cfg.n_start + cfg.u_modulus
+    assert ns[0] % cfg.u_modulus == cfg.u0
+    assert len(table.pattern) == len(table.hits) == len(table)
+    # every pattern occurs, and no two patterns share an index
+    assert sorted(set(table.pattern.tolist())) == list(range(len(table.weights)))
+    assert all(w >= 0 for w in table.weights)
+    s1 = sum_s1(table)
+    s2 = sum_s2(table)
     assert 0 <= s2 <= cfg.k * s1
+
+
+def test_pattern_counts_on_benchmark_configs():
+    """Few distinct weights for many entries: (entries, patterns) on the
+    benchmark's demo and wide sieve configs."""
+    inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    for name, want in (("demo", (33333, 3)), ("wide", (16666, 7637))):
+        cfg, spec = config_from_json(json.loads((inputs / f"sieve_{name}.json").read_text()))
+        table = weight_table(cfg, spec)
+        assert (len(table), len(table.weights)) == want, name
 
 
 def test_quadratic_scaling():
@@ -303,10 +362,10 @@ def test_quadratic_scaling():
         f=SimplexPolynomial.from_symmetric(2, {lam: 3 * c for lam, c in cfg.f.coeffs}),
         d0_override=3,
     )
-    table, scaled_table = weight_table(cfg), weight_table(scaled)
-    assert sum_s1(scaled, scaled_table) == 9 * sum_s1(cfg, table)
     spec = all_primes_spec()
-    assert sum_s2(scaled, spec, scaled_table) == 9 * sum_s2(cfg, spec, table)
+    table, scaled_table = weight_table(cfg, spec), weight_table(scaled, spec)
+    assert sum_s1(scaled_table) == 9 * sum_s1(table)
+    assert sum_s2(scaled_table) == 9 * sum_s2(table)
 
 
 def test_weight_table_factors_nothing(monkeypatch):
@@ -321,7 +380,7 @@ def test_weight_table_factors_nothing(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(sieve, "prime_divisors", counting)
-    table = weight_table(cfg)
+    table = weight_table(cfg, all_primes_spec())
     assert len(table) > 0
     assert calls == []
 
@@ -346,42 +405,54 @@ def test_s_functional_certifies_pairs():
 
 
 def test_s_functional_builds_one_prime_table(monkeypatch):
+    """One prime table and one call of the scan's membership kernels per run."""
     cfg = small_config()
-    built = []
+    built, kernel_calls = [], []
+    real_members = sieve.members_in_segment
 
     def counting_table(limit):
         built.append(limit)
         return PrimeTable(limit)
 
+    def counting_members(spec, primes):
+        kernel_calls.append(len(primes))
+        return real_members(spec, primes)
+
     monkeypatch.setattr(sieve, "PrimeTable", counting_table)
+    monkeypatch.setattr(sieve, "members_in_segment", counting_members)
     res = s_functional(cfg, all_primes_spec(), 1)
     assert len(built) == 1
-    table = weight_table(cfg)
-    assert res.s2 == sum_s2(cfg, all_primes_spec(), table)
+    assert len(kernel_calls) == 1
+    assert res.s2 == sum_s2(weight_table(cfg, all_primes_spec()))
 
 
 def test_s_functional_tests_each_shift_once(monkeypatch):
-    """One membership pass, made inside sum_s2 (the traced benchmark times
-    S2 through that name), serves both S2 and the window list."""
-    cfg = small_config()
-    spec = all_primes_spec()
-    asked, s2_calls = [], []
-    is_member, real_sum_s2 = type(spec).is_member, sieve.sum_s2
+    """The quadratic-form kernel asks is_member once per prime, so the
+    calls show that each distinct prime shift n + h_m is decided exactly
+    once, all inside weight_table, for both S2 and the window list."""
+    cfg = k3_config()
+    spec = QuadFormRep(2, 1, 3, ONE)
+    asked, spans = [], []
+    is_member, real_table = type(spec).is_member, sieve.weight_table
 
     def counting_member(self, p):
         asked.append(p)
         return is_member(self, p)
 
-    def counting_sum_s2(*args):
-        s2_calls.append(len(asked))
-        return real_sum_s2(*args)
+    def counting_table(*args):
+        spans.append(len(asked))
+        table = real_table(*args)
+        spans.append(len(asked))
+        return table
 
     monkeypatch.setattr(type(spec), "is_member", counting_member)
-    monkeypatch.setattr(sieve, "sum_s2", counting_sum_s2)
+    monkeypatch.setattr(sieve, "weight_table", counting_table)
     res = s_functional(cfg, spec, 1)
-    shifted = [n + h for n in weight_table(cfg).entries for h in cfg.tuple]
-    assert s2_calls == [0]
-    assert sorted(asked) == sorted(x for x in shifted if t_is_prime(x))
+    ns = range(cfg.n_start + (cfg.u0 - cfg.n_start) % cfg.u_modulus, 2 * cfg.n_start,
+               cfg.u_modulus)
+    shifts = {n + h for n in ns for h in cfg.tuple if t_is_prime(n + h)}
+    assert sorted(asked) == sorted(shifts)
+    assert spans == [0, len(asked)]
     assert res.windows
 
 
@@ -401,8 +472,8 @@ def test_predicted_terms_sanity():
     assert pred_s1 > 0 and pred_s2 > 0
     # individual main terms are way off at N = 1000, but the frame factor
     # cancels in the ratio, which lands within a small factor of observed
-    table = weight_table(cfg)
-    observed = float(sum_s2(cfg, spec, table)) / float(sum_s1(cfg, table))
+    table = weight_table(cfg, spec)
+    observed = float(sum_s2(table)) / float(sum_s1(table))
     assert 0.1 < (pred_s2 / pred_s1) / observed < 10
     mismatched = GaloisContext(2, 1, 5, abelian_conductor=5)
     from chebgaps.chebsets import Congruence
@@ -426,7 +497,7 @@ def test_config_json_round_trip():
 def test_run_to_json():
     cfg = small_config()
     out = run_to_json(cfg, all_primes_spec(), rho=1)
-    assert Fraction(out["s1"]) == sum_s1(cfg, weight_table(cfg))
+    assert Fraction(out["s1"]) == sum_s1(weight_table(cfg, all_primes_spec()))
     assert Fraction(out["s_value"]) == Fraction(out["s2"]) - Fraction(out["s1"])
     assert out["ratio_observed"] == pytest.approx(
         float(Fraction(out["s2"]) / Fraction(out["s1"]))
