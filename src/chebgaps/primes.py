@@ -1,8 +1,8 @@
 """Prime enumeration and classical prime-counting inequalities.
 
-Segmented sieve of Eratosthenes on numpy bitmaps, a reusable PrimeTable for
-membership and pi queries, primorials, and a checker for Dusart's
-two-sided bounds on q_n and pi(n).
+Segmented sieve of Eratosthenes on numpy bitmaps, a PrimeTable holding the
+sieve's primes up to a limit as one sorted array for pi queries, primorials,
+and a checker for Dusart's two-sided bounds on q_n and pi(n).
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import numpy as np
 
 DEFAULT_SEGMENT = 1 << 20
 
-# a PrimeTable holds a byte per integer up to its limit plus the primes as
-# int64: about 1.4 GB at this cap, so larger limits fail before allocating
+# a PrimeTable holds its primes as int64, 8 bytes each: pi(10^9) = 50,847,534
+# primes make about 407 MB at this cap, and as much again for the segment list
+# held while they are concatenated, so larger limits fail before allocating
 PRIME_TABLE_MAX = 10**9
 
 
@@ -38,8 +39,6 @@ def sieve_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> list[int]:
         raise ValueError(f"empty range: lo={lo} >= hi={hi}")
     if lo < 0 or hi < 0:
         raise ValueError("range endpoints must be non-negative")
-    if segment < 2:
-        raise ValueError("segment size must be at least 2")
     out: list[int] = []
     for arr in iter_prime_segments(lo, hi, segment):
         out.extend(arr.tolist())
@@ -48,17 +47,16 @@ def sieve_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> list[int]:
 
 def iter_prime_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT):
     """Yield numpy arrays of the primes in [lo, hi), one array per segment."""
+    if segment < 2:
+        raise ValueError("segment size must be at least 2")
     lo = max(lo, 2)
     if lo >= hi:
         return
-    base_mask = _small_sieve(math.isqrt(hi - 1))
-    base = np.flatnonzero(base_mask)
+    base = np.flatnonzero(_small_sieve(math.isqrt(hi - 1)))
     start = lo
     while start < hi:
         stop = min(start + segment, hi)
         mask = np.ones(stop - start, dtype=bool)
-        if start <= 1:
-            mask[: min(2 - start, stop - start)] = False
         for p in base.tolist():
             if p * p >= stop:
                 break
@@ -70,7 +68,7 @@ def iter_prime_segments(lo: int, hi: int, segment: int = DEFAULT_SEGMENT):
 
 
 class PrimeTable:
-    """Primality bitmap plus sorted prime array up to a fixed limit.
+    """The primes up to a fixed limit, ascending, from the segmented sieve.
 
     Immutable after construction; all queries are read-only, so tables can be
     shared freely across threads or processes.
@@ -82,26 +80,13 @@ class PrimeTable:
         if limit > PRIME_TABLE_MAX:
             raise ValueError(f"PrimeTable limit {limit} exceeds {PRIME_TABLE_MAX}")
         self.limit = limit
-        self._mask = _small_sieve(limit)
-        self._primes = np.flatnonzero(self._mask)
-
-    def is_prime(self, n: int) -> bool:
-        if n < 0 or n > self.limit:
-            raise ValueError(f"{n} outside table limit {self.limit}")
-        return bool(self._mask[n])
+        self.primes = np.concatenate(list(iter_prime_segments(2, limit + 1)))
 
     def pi(self, x: int) -> int:
         """Number of primes <= x."""
         if x < 0 or x > self.limit:
             raise ValueError(f"{x} outside table limit {self.limit}")
-        return int(np.searchsorted(self._primes, x, side="right"))
-
-    @property
-    def primes(self) -> np.ndarray:
-        return self._primes
-
-    def __contains__(self, n: int) -> bool:
-        return 0 <= n <= self.limit and bool(self._mask[n])
+        return int(np.searchsorted(self.primes, x, side="right"))
 
 
 def prime_count(x: int) -> int:

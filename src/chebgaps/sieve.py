@@ -22,8 +22,8 @@ agree exactly.
 
 Scale warning: this is a demonstration sieve. The per-n enumeration is
 feasible for N up to ~10^7 and k up to ~4 (perfbench's k = 2 demo config at
-N = 10^7 takes about 1.7 s and 88 MB on a 2-core Xeon VM, 29 MB of it the
-prime table to 2N); the asymptotic statements it is compared against only
+N = 10^7 takes about 1.5 s and 70 MB on a 2-core Xeon VM, 10 MB of it the
+sorted primes to 2N); the asymptotic statements it is compared against only
 kick in far beyond that, so predicted/observed ratios are loose.
 """
 

@@ -353,6 +353,8 @@ def _mult_power_sum(poly: dict, r: int, k: int) -> dict:
 
 def symmetric_basis(k: int, degree: int) -> list[tuple[tuple[int, int], dict]]:
     """[( (a, b), m-basis dict of (1-P1)^a P2^b )] for a + 2b <= degree."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     basis = []

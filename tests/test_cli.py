@@ -319,6 +319,10 @@ def test_bad_input_exits_2(tmp_path, capsys):
                  ["sieve", "--config", huge_n]):
         assert main(argv) == 2
         assert f"exceeds {10**9}" in capsys.readouterr().err
+    # k < 1 is refused before any basis or Gram is built
+    for k in ("0", "-5"):
+        assert main(["mk", k, "3"]) == 2
+        assert "k must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_command():

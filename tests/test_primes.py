@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from chebgaps.primes import (
+    DEFAULT_SEGMENT,
     PRIME_TABLE_MAX,
     PrimeTable,
+    _small_sieve,
     iter_prime_segments,
     nth_prime_upper,
     prime_count,
@@ -44,6 +47,9 @@ def test_sieve_rejects_bad_ranges():
         sieve_range(-5, 3)
     with pytest.raises(ValueError):
         sieve_range(2, 100, segment=1)
+    # the segment loop itself refuses a size that would never advance
+    with pytest.raises(ValueError, match="segment size"):
+        next(iter_prime_segments(2, 100, segment=0))
 
 
 def test_segments_concatenate_to_full_range():
@@ -63,8 +69,16 @@ def test_prime_table_counts():
     assert pt.primes.tolist() == oracle
     assert pt.pi(10**4) == len(oracle) == 1229
     assert pt.pi(1) == 0
-    assert pt.is_prime(9973) and not pt.is_prime(9999)
-    assert 97 in pt and 91 not in pt
+    # the concatenated segments against the whole-range bitmap, at and across
+    # segment boundaries, and at the prime 1,048,583, which pi must count
+    for limit in (DEFAULT_SEGMENT - 1, DEFAULT_SEGMENT, DEFAULT_SEGMENT + 1,
+                  2 * DEFAULT_SEGMENT, 1_048_583):
+        pt = PrimeTable(limit)
+        mask = _small_sieve(limit)
+        assert pt.primes.dtype == np.int64
+        assert np.array_equal(pt.primes, np.flatnonzero(mask))
+        assert pt.pi(limit) == int(mask.sum())
+    assert pt.primes[-1] == 1_048_583 and pt.pi(1_048_583) == pt.pi(1_048_582) + 1
     # past the cap the table refuses before it allocates anything
     with pytest.raises(ValueError, match="exceeds"):
         PrimeTable(PRIME_TABLE_MAX + 1)

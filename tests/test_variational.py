@@ -276,6 +276,9 @@ def test_symmetric_basis_matches_closed_form():
                 assert g.evaluate(pt) == (1 - p1) ** a * p2**b
     with pytest.raises(ValueError):
         symmetric_basis(2, -1)
+    for k in (0, -5):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            symmetric_basis(k, 3)
 
 
 def test_gram_matrices_match_arrangement_pair_integrals():
