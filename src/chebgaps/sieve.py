@@ -20,11 +20,14 @@ compared bit for bit. F is evaluated at Fraction images of the float logs;
 the floats are exact rationals, so any two enumerators using this convention
 agree exactly.
 
-Scale warning: this is a demonstration sieve. The per-n enumeration is
-feasible for N up to ~10^7 and k up to ~4 (perfbench's k = 2 demo config at
-N = 10^7 takes about 1.5 s and 70 MB on a 2-core Xeon VM, 10 MB of it the
-sorted primes to 2N); the asymptotic statements it is compared against only
-kick in far beyond that, so predicted/observed ratios are loose.
+Scale warning: this is a demonstration sieve. The pass is vectorized over
+n, but it still holds one divisor-pattern key and one hit count per n and
+the sorted primes to 2N, so time and memory grow linearly with N; lambda is
+exact over a support that grows like R^k, so k stays small (up to ~4).
+perfbench's k = 2 demo config at N = 10^7 takes about 0.5 s and 66 MB as a
+cold `sieve --json` run on a 2-core Xeon VM, 10 MB of it the sorted primes
+to 2N. The asymptotic statements the sums are compared against only kick in
+far beyond that, so predicted/observed ratios are loose.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -291,14 +293,69 @@ class WeightTable:
         return len(self.ns)
 
 
-def _divisor_candidates(m: int, sieving: list[int], r_limit: float) -> tuple[int, ...]:
-    # squarefree divisors of m below R built from the sieving primes; the
-    # order is fixed by the sieving list, so equal sets give equal tuples
-    divs = [1]
-    for p in sieving:
-        if m % p == 0:
-            divs += [d * p for d in divs if d * p < r_limit]
-    return tuple(divs)
+def _divisor_patterns(
+    ns: np.ndarray, hs: list[int], sieving: list[int], u_modulus: int, lams: dict
+) -> tuple[np.ndarray, tuple]:
+    """The pattern index of each n, patterns numbered by first occurrence,
+    and the exact weight of each pattern.
+
+    The pattern of n is the set of pairs (i, p) with p | n + h_i, kept as a
+    key of int64 words: bit i * len(sieving) + b says that the b-th sieving
+    prime divides n + h_i, 63 bits a word so that every word is >= 0. p does
+    not divide U, so the n with p | n + h_i are one residue class of indices
+    mod p, and each bit is set by one strided slice. A support vector fits a
+    pattern when its own prime bits lie inside the pattern's key; lambda is
+    summed over the fitting vectors in integers over one common denominator,
+    one support vector at a time, and the weight is that sum squared.
+    """
+    words = max(1, -(-len(hs) * len(sieving) // 63))
+    first = int(ns[0])
+    keys = np.zeros((len(ns), words), dtype=np.int64)
+    for i, h in enumerate(hs):
+        for b, p in enumerate(sieving):
+            word, bit = divmod(i * len(sieving) + b, 63)
+            keys[-(first + h) * pow(u_modulus, -1, p) % p :: p, word] |= 1 << bit
+    if words == 1:
+        masks, first_at, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+        masks = masks[:, None]
+    else:
+        masks, first_at, inverse = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True
+        )
+    order = np.argsort(first_at)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    masks = masks[order]
+    den = math.lcm(*(lam.denominator for lam in lams.values()))
+    acc = np.zeros(len(masks), dtype=object)
+    for dv, lam in lams.items():
+        need = np.zeros(words, dtype=np.int64)
+        for i, d in enumerate(dv):
+            for b, p in enumerate(sieving):
+                if d % p == 0:
+                    word, bit = divmod(i * len(sieving) + b, 63)
+                    need[word] |= 1 << bit
+        acc[((masks & need) == need).all(axis=1)] += lam.numerator * (den // lam.denominator)
+    return rank[inverse.reshape(-1)], tuple(Fraction(a, den) ** 2 for a in acc.tolist())
+
+
+def _hit_counts(
+    ns: np.ndarray, hs: list[int], primes: np.ndarray, spec: ChebotarevSpec
+) -> np.ndarray:
+    """#{m : n + h_m is a prime in the set} per n. n + h_m is prime when a
+    binary search finds it among the sorted primes, one shift at a time;
+    membership is decided once per distinct prime shift, in one call of the
+    scan's kernels."""
+    rows, values = [], []
+    for h in hs:
+        shifted = ns + h
+        is_prime = primes.take(np.searchsorted(primes, shifted), mode="clip") == shifted
+        rows.append(np.flatnonzero(is_prime))
+        values.append(shifted[is_prime])
+    distinct, inverse = np.unique(np.concatenate(values), return_inverse=True)
+    member = np.zeros(len(distinct), dtype=bool)
+    member[np.searchsorted(distinct, members_in_segment(spec, distinct))] = True
+    return np.bincount(np.concatenate(rows)[member[inverse]], minlength=len(ns))
 
 
 def weight_table(cfg: SieveConfig, spec: ChebotarevSpec) -> WeightTable:
@@ -306,11 +363,11 @@ def weight_table(cfg: SieveConfig, spec: ChebotarevSpec) -> WeightTable:
 
     A support divisor d_i | n + h_i is squarefree, below R and coprime to W,
     so it is built only from the sieving primes p < R with p not dividing W,
-    listed once per call; each n + h_i is tested against those primes alone,
-    and nothing is factored. w_n is the square of the sum of lambda over the
-    support vectors in the product of the k candidate lists, so it depends
-    only on that tuple of lists (the divisor pattern of n): it is computed
-    once per pattern, and each n keeps only its pattern's index.
+    listed once per call, and nothing is factored. w_n is the square of the
+    sum of lambda over the support vectors that divide (n + h_1, ..., n + h_k)
+    componentwise, so it depends only on which sieving primes divide each
+    n + h_i (the divisor pattern of n): it is computed once per pattern, and
+    each n keeps only its pattern's index.
     """
     hs = list(cfg.tuple)
     # built first: an N past the table's cap fails before any other work
@@ -319,28 +376,8 @@ def weight_table(cfg: SieveConfig, spec: ChebotarevSpec) -> WeightTable:
     sieving = [p for p in sieve_range(0, math.ceil(cfg.r_limit)) if cfg.w_modulus % p]
     first = cfg.n_start + (cfg.u0 - cfg.n_start) % cfg.u_modulus
     ns = np.arange(first, 2 * cfg.n_start, cfg.u_modulus, dtype=np.int64)
-    index: dict = {}
-    weights = []
-    pattern = np.empty(len(ns), dtype=np.int64)
-    for i, n in enumerate(ns.tolist()):
-        cands = tuple(_divisor_candidates(n + h, sieving, cfg.r_limit) for h in hs)
-        j = index.get(cands)
-        if j is None:
-            acc = sum((lams[dv] for dv in product(*cands) if dv in lams), Fraction(0))
-            j = index[cands] = len(weights)
-            weights.append(acc * acc)
-        pattern[i] = j
-    # n + h_m is prime when a binary search finds it among the table's primes;
-    # membership is decided once per distinct prime shift, in one call of the
-    # scan's kernels
-    shifted = ns[:, None] + np.array(hs, dtype=np.int64)
-    primes = pt.primes
-    is_prime = primes.take(np.searchsorted(primes, shifted), mode="clip") == shifted
-    distinct, inverse = np.unique(shifted[is_prime], return_inverse=True)
-    member = np.zeros(len(distinct), dtype=bool)
-    member[np.searchsorted(distinct, members_in_segment(spec, distinct))] = True
-    hits = np.bincount(np.nonzero(is_prime)[0][member[inverse]], minlength=len(ns))
-    return WeightTable(ns, pattern, tuple(weights), hits)
+    pattern, weights = _divisor_patterns(ns, hs, sieving, cfg.u_modulus, lams)
+    return WeightTable(ns, pattern, weights, _hit_counts(ns, hs, pt.primes, spec))
 
 
 def _pattern_sum(table: WeightTable, counts: np.ndarray) -> Fraction:
@@ -466,9 +503,10 @@ def config_from_json(d: dict) -> tuple[SieveConfig, ChebotarevSpec | None]:
 
 def run_to_json(cfg: SieveConfig, spec: ChebotarevSpec, rho=1) -> dict:
     """One full run: exact sums, predictions, window list; rationals ship as
-    strings so nothing is rounded."""
-    res = s_functional(cfg, spec, rho)
+    strings so nothing is rounded. The predictions come first, so a spec
+    that disagrees with the config fails before the pass."""
     pred_s1, pred_s2 = predicted_terms(cfg, spec)
+    res = s_functional(cfg, spec, rho)
     out = {
         "config": cfg.to_json(),
         "spec": spec.to_json(),

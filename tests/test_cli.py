@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebgaps import __version__, cli
+from chebgaps import __version__, cli, sieve
 from chebgaps.admissible import Tuple
 from chebgaps.chebsets import Congruence, GaloisContext, all_primes_spec, spec_from_json
 from chebgaps.cli import main
@@ -161,6 +161,19 @@ def test_sieve_requires_spec(tmp_path, capsys):
     path = write_json(tmp_path, "sieve.json", d)
     assert main(["sieve", "--config", path]) == 2
     assert "spec" in capsys.readouterr().err
+
+
+def test_sieve_mismatched_spec_fails_before_the_pass(tmp_path, capsys, monkeypatch):
+    """A spec whose discriminant disagrees with the config's exits 2
+    without building the weight table."""
+    _, d = sieve_config_json()
+    d["spec"] = Congruence(5, {1}, GaloisContext(2, 1, 5, abelian_conductor=5)).to_json()
+    path = write_json(tmp_path, "sieve.json", d)
+    calls = []
+    monkeypatch.setattr(sieve, "weight_table", lambda *a: calls.append(a))
+    assert main(["sieve", "--config", path, "--json"]) == 2
+    assert "discriminant" in capsys.readouterr().err
+    assert calls == []
 
 
 # -- admissible ---------------------------------------------------------------------

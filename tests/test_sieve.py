@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chebgaps.sieve as sieve
@@ -64,6 +65,16 @@ def t_is_prime(n):
             return False
         d += 1
     return True
+
+
+def t_prime_flags(limit):
+    """Sieve of Eratosthenes: flags[m] == 1 exactly when m <= limit is prime."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for d in range(2, math.isqrt(limit) + 1):
+        if flags[d]:
+            flags[d * d :: d] = bytes(len(range(d * d, limit + 1, d)))
+    return flags
 
 
 def t_phi(n):
@@ -340,12 +351,95 @@ def test_weight_table_invariants():
     assert 0 <= s2 <= cfg.k * s1
 
 
+def oracle_divisor_candidates(m, sieving, r_limit):
+    """Squarefree divisors of m below R built from the sieving primes; the
+    order is fixed by the sieving list, so equal sets give equal tuples."""
+    divs = [1]
+    for p in sieving:
+        if m % p == 0:
+            divs += [d * p for d in divs if d * p < r_limit]
+    return tuple(divs)
+
+
+def oracle_weight_table(cfg, spec):
+    """The per-n loop: each n's tuple of candidate divisor lists is its
+    pattern, numbered by first occurrence, with w = (sum of lambda over the
+    support vectors in their product)^2; hits by a plain sieve of
+    Eratosthenes and the scalar is_member."""
+    hs = list(cfg.tuple)
+    lams = lambda_table(cfg)
+    sieving = [
+        p for p in range(2, math.ceil(cfg.r_limit)) if t_is_prime(p) and cfg.w_modulus % p
+    ]
+    first = cfg.n_start + (cfg.u0 - cfg.n_start) % cfg.u_modulus
+    ns = list(range(first, 2 * cfg.n_start, cfg.u_modulus))
+    index, weights, pattern = {}, [], []
+    for n in ns:
+        cands = tuple(oracle_divisor_candidates(n + h, sieving, cfg.r_limit) for h in hs)
+        j = index.get(cands)
+        if j is None:
+            acc = sum((lams[dv] for dv in product(*cands) if dv in lams), Fraction(0))
+            j = index[cands] = len(weights)
+            weights.append(acc * acc)
+        pattern.append(j)
+    prime = t_prime_flags(2 * cfg.n_start + max(hs))
+    hits = [sum(1 for h in hs if prime[n + h] and spec.is_member(n + h)) for n in ns]
+    return ns, pattern, tuple(weights), hits, sieving
+
+
+def _benchmark_config(name):
+    inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    return config_from_json(json.loads((inputs / f"sieve_{name}.json").read_text()))
+
+
+MOD5 = GaloisContext(2, 1, 5, abelian_conductor=5)
+ORACLE_CONFIGS = {
+    "small": lambda: (small_config(), all_primes_spec()),
+    "k3": lambda: (k3_config(), KERNEL_SPECS[0]),
+    "demo": lambda: _benchmark_config("demo"),
+    "wide": lambda: _benchmark_config("wide"),
+    # R ~ 372: 70 sieving primes, 140 key bits in three words
+    "three_words": lambda: (
+        build_config(2 * 10**5, 2, Tuple([0, 2]), ALL_PRIMES, 0.99, 0.01, d0_override=5),
+        all_primes_spec(),
+    ),
+    # W = 30, U = 6
+    "u_below_w": lambda: (
+        build_config(2000, 3, Tuple([0, 2, 6]), MOD5, 0.9, 0.05, d0_override=5),
+        Congruence(5, {1, 4}, MOD5),
+    ),
+    # R ~ 5.6 with 2, 3 and 5 in W: no sieving primes
+    "no_sieving": lambda: (
+        build_config(10**5, 2, Tuple([0, 4]), ALL_PRIMES, 0.4, 0.05, d0_override=5),
+        all_primes_spec(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_weight_table_matches_per_n_oracle(name):
+    cfg, spec = ORACLE_CONFIGS[name]()
+    ns, pattern, weights, hits, sieving = oracle_weight_table(cfg, spec)
+    table = weight_table(cfg, spec)
+    assert table.ns.tolist() == ns
+    assert table.pattern.dtype == table.hits.dtype == np.int64
+    assert table.pattern.tolist() == pattern
+    assert table.weights == weights
+    assert all(type(w) is Fraction for w in table.weights)
+    assert table.hits.tolist() == hits
+    if name == "three_words":
+        assert len(sieving) == 70
+    if name == "u_below_w":
+        assert cfg.u_modulus != cfg.w_modulus
+    if name == "no_sieving":
+        assert sieving == [] and len(weights) == 1
+
+
 def test_pattern_counts_on_benchmark_configs():
     """Few distinct weights for many entries: (entries, patterns) on the
     benchmark's demo and wide sieve configs."""
-    inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
     for name, want in (("demo", (33333, 3)), ("wide", (16666, 7637))):
-        cfg, spec = config_from_json(json.loads((inputs / f"sieve_{name}.json").read_text()))
+        cfg, spec = _benchmark_config(name)
         table = weight_table(cfg, spec)
         assert (len(table), len(table.weights)) == want, name
 
