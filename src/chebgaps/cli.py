@@ -296,7 +296,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        # a config or spec JSON without a required field
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -199,25 +199,34 @@ def tuple_determinant(tup: Tuple) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _log_fraction(x: int, log_r: Fraction) -> Fraction:
+def _r_facts(cfg: SieveConfig) -> dict[int, tuple[int, Fraction]]:
+    """phi(r) and log r / log R for each r that lambda's inner sums run
+    over: the squarefree r < R coprime to W."""
     # float logs are exact rationals; every enumerator shares this convention
-    return Fraction(math.log(x)) / log_r if x > 1 else Fraction(0)
+    log_r = Fraction(math.log(cfg.r_limit))
+    return {
+        r: (euler_phi(r), Fraction(math.log(r)) / log_r)
+        for r in range(1, math.ceil(cfg.r_limit))
+        if is_squarefree(r) and math.gcd(r, cfg.w_modulus) == 1
+    }
 
 
 def lambda_weight(d_vec, cfg: SieveConfig) -> Fraction:
     """Exact lambda for one divisor vector; 0 off the support."""
+    return _lambda_weight(d_vec, cfg, _r_facts(cfg))
+
+
+def _lambda_weight(d_vec, cfg: SieveConfig, facts: dict) -> Fraction:
     d_vec = tuple(int(d) for d in d_vec)
     if len(d_vec) != cfg.k:
         raise ValueError(f"need a {cfg.k}-vector")
     if any(d < 1 for d in d_vec):
         raise ValueError("divisors must be positive")
-    d = math.prod(d_vec)
-    if d >= cfg.r_limit or not is_squarefree(d) or math.gcd(d, cfg.w_modulus) != 1:
+    if math.prod(d_vec) not in facts:
         return Fraction(0)
     sign = 1
     for di in d_vec:
         sign *= mobius(di) * di
-    log_r = Fraction(math.log(cfg.r_limit))
     total = Fraction(0)
 
     def rec(i: int, prod: int, phis: int, args: tuple):
@@ -230,12 +239,9 @@ def lambda_weight(d_vec, cfg: SieveConfig) -> Fraction:
         di = d_vec[i]
         r = di
         while prod * r < cfg.r_limit:
-            if (
-                is_squarefree(r)
-                and math.gcd(r, cfg.w_modulus) == 1
-                and math.gcd(r, prod) == 1
-            ):
-                rec(i + 1, prod * r, phis * euler_phi(r), args + (_log_fraction(r, log_r),))
+            if r in facts and math.gcd(r, prod) == 1:
+                phi, log_frac = facts[r]
+                rec(i + 1, prod * r, phis * phi, args + (log_frac,))
             r += di
         return
 
@@ -270,7 +276,8 @@ def support_d_vectors(cfg: SieveConfig) -> list[tuple[int, ...]]:
 
 def lambda_table(cfg: SieveConfig) -> dict[tuple[int, ...], Fraction]:
     """Sequential pre-pass: lambda on the whole support, keyed by d-vector."""
-    return {d: lambda_weight(d, cfg) for d in support_d_vectors(cfg)}
+    facts = _r_facts(cfg)
+    return {d: _lambda_weight(d, cfg, facts) for d in support_d_vectors(cfg)}
 
 
 # ---------------------------------------------------------------------------

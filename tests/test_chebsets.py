@@ -333,6 +333,33 @@ def test_tau_sigma11_congruence():
         assert int(s[n]) == int(sig[n] % 691)
 
 
+def test_tau_stream_dtype_rungs():
+    limit = 120
+    oracle = naive_tau(limit)
+    # below 120 the eta cube has 15 nonzero terms (j = 0..14, every 2j + 1 < d),
+    # so int32 holds each product's sum while (d - 1)^2 * 16 < 2^31, int64
+    # while (d - 1)^2 * 16 < 2^63, int64 reduced per term while 2 (d - 1)^2 < 2^63
+    assert (11586 - 1) ** 2 * 16 < 2**31 <= (11587 - 1) ** 2 * 16
+    assert (759250125 - 1) ** 2 * 16 < 2**63 <= (759250126 - 1) ** 2 * 16
+    # 46337^2 < 2^31, but 15 such products are not, so its sums need int64
+    for d in (11586, 11587, 46337, 759250125, 759250126, 2**31, 2**31 + 1):
+        s = tau_mod_stream(d, limit)
+        assert s.dtype == (np.int64 if d <= 2**31 else object), d
+        assert [int(x) for x in s[1:]] == [t % d for t in oracle[1:]], d
+
+
+def test_tau_stream_perfbench_size():
+    # the newform scan's stream: tau(n) = sigma_11(n) mod 691 at every n it
+    # reaches, the 144 multiples of 691 among them
+    limit = 99992
+    s = tau_mod_stream(691, limit)
+    assert s.dtype == np.int64 and len(s) == limit + 1
+    sig = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, limit + 1):
+        sig[d::d] += pow(d, 11, 691)
+    assert np.array_equal(s[1:], sig[1:] % 691)
+
+
 def test_tau_stream_rejections():
     with pytest.raises(ValueError):
         tau_mod_stream(1, 100)

@@ -332,6 +332,14 @@ def test_bad_input_exits_2(tmp_path, capsys):
                  ["sieve", "--config", huge_n]):
         assert main(argv) == 2
         assert f"exceeds {10**9}" in capsys.readouterr().err
+    # a missing field is named, not printed as a bare KeyError
+    as_sieve = write_json(tmp_path, "spec_as_sieve.json", scan_spec_json())
+    assert main(["sieve", "--config", as_sieve, "--rho", "1", "--json"]) == 2
+    assert capsys.readouterr().err == "error: missing field 'k'\n"
+    no_residues = {key: v for key, v in scan_spec_json().items() if key != "residues"}
+    no_res = write_json(tmp_path, "spec_no_res.json", no_residues)
+    assert main(["scan", "--config", no_res, "--x", "1000", "--bound", "4800"]) == 2
+    assert capsys.readouterr().err == "error: missing field 'residues'\n"
     # k < 1 is refused before any basis or Gram is built
     for k in ("0", "-5"):
         assert main(["mk", k, "3"]) == 2

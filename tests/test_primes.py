@@ -63,6 +63,24 @@ def test_segments_concatenate_to_full_range():
     assert parts == trial_division_primes(1234, 98765)
 
 
+def test_segments_at_range_edges():
+    # every yielded array is the slice of the whole-range bitmap's primes in
+    # its segment [start, start + segment), int64, one per segment, starting
+    # at max(lo, 2); the last number below hi is even (3, 1241), odd (1240),
+    # prime (4, 1260) or a prime square (10, 26, 1370)
+    for lo in (0, 1, 2, 3, 4, 9, 1234):
+        for segment in (2, 3, 4, 777, DEFAULT_SEGMENT):
+            for hi in (3, 4, 10, 26, 1240, 1241, 1260, 1370):
+                whole = np.flatnonzero(_small_sieve(hi - 1))
+                starts = range(max(lo, 2), hi, segment)
+                got = list(iter_prime_segments(lo, hi, segment))
+                assert len(got) == len(starts), (lo, segment, hi)
+                for start, arr in zip(starts, got):
+                    a, b = np.searchsorted(whole, [start, start + segment])
+                    assert arr.dtype == np.int64
+                    assert np.array_equal(arr, whole[a:b]), (lo, segment, hi, start)
+
+
 def test_prime_table_counts():
     pt = PrimeTable(10**4)
     oracle = trial_division_primes(2, 10**4 + 1)
