@@ -461,6 +461,8 @@ class Congruence(ChebotarevSpec):
     def __init__(self, modulus: int, residues, context: GaloisContext):
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
+        if modulus >= 2**63:
+            raise ValueError("modulus must be < 2^63")
         res = frozenset(int(r) % modulus for r in residues)
         if not res:
             raise ValueError("residue set must be non-empty")

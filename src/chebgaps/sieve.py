@@ -2,13 +2,14 @@
 
 The objects: an admissible tuple H = {h_1 < ... < h_k}, a pre-sieve modulus
 W = prod_{p <= D0} p, the reduced modulus U = W / rad(|D|), a residue u0 with
-gcd(prod_i (u0 + h_i), U) = 1, and the cutoff R = N^(theta/2 - eps). Weights
+gcd(prod_i (u0 + h_i), U) = 1, and the cutoff R = N^(theta/2 - eps). The
+support is the vectors r with squarefree pairwise coprime r_i, prod r_i < R
+and (prod r_i, W) = 1; on it
 
-    lambda_{d_1..d_k} = (prod mu(d_i) d_i) *
-        sum_{r_i : d_i | r_i, (r_i, W) = 1} mu(prod r_i)^2 / prod phi(r_i)
-            * F(log r_1 / log R, ..., log r_k / log R)
+    y_r = F(log r_1 / log R, ..., log r_k / log R) / prod phi(r_i)
+    lambda_d = (prod mu(d_i) d_i) * sum_{r in support : d_i | r_i} y_r
 
-are supported on squarefree d = prod d_i < R with (d, W) = 1, and
+(Maynard, arXiv:1311.4600, section 5), lambda_d = 0 off the support, and
 
     w_n = (sum_{d_i | n + h_i} lambda_{d_1..d_k})^2
     S1  = sum of w_n over n = u0 mod U in [N, 2N)
@@ -33,8 +34,9 @@ far beyond that, so predicted/observed ratios are loose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -68,37 +70,68 @@ def default_d0(n: int) -> float:
 
 @dataclass(frozen=True)
 class SieveConfig:
+    """The inputs of a sieve run. W, U, u0 and R are derived from them in
+    __post_init__, once, and read as fields.
+
+    u0 is built prime by prime: for each p | U take the least residue u_p
+    with u_p + h_i nonzero mod p for every i (admissibility guarantees one
+    exists), then recombine by the Chinese remainder theorem.
+    """
+
     n_start: int
-    k: int
     tuple: Tuple
     theta: float
     epsilon: float
     d0: float
-    w_modulus: int
-    u_modulus: int
-    u0: int
-    r_limit: float
     f: SimplexPolynomial
     context: GaloisContext
+    w_modulus: int = field(init=False)
+    u_modulus: int = field(init=False)
+    u0: int = field(init=False)
+    r_limit: float = field(init=False)
 
     def __post_init__(self):
-        if self.k != self.tuple.k:
-            raise ValueError("k disagrees with the tuple length")
+        n, tup, d0 = self.n_start, self.tuple, self.d0
+        if n < 2:
+            raise ValueError("n_start must be >= 2")
+        if not 0 < self.theta < 1:
+            raise ValueError("theta must lie in (0, 1)")
+        if not 0 < self.epsilon < self.theta / 2:
+            raise ValueError("epsilon must lie in (0, theta/2)")
+        if not is_admissible(tup):
+            raise ValueError(f"tuple {list(tup)} is not admissible")
+        if not (math.isfinite(d0) and d0 <= D0_MAX):
+            raise ValueError(f"d0 must be finite and at most {D0_MAX}, got {d0}")
+        w = primorial_below(d0) if d0 >= 2 else 1
+        delta_abs = abs(self.context.discriminant)
+        for p in prime_divisors(delta_abs):
+            if p > d0:
+                raise ValueError(
+                    f"prime {p} of the discriminant exceeds D0 = {d0}; "
+                    "U = W/rad(D) would not be integral"
+                )
+        u = w // rad(delta_abs)
+        residues, moduli = [], []
+        for p in prime_divisors(u):
+            banned = {(-h) % p for h in tup}
+            residues.append(next(r for r in range(p) if r not in banned))
+            moduli.append(p)
+        u0 = crt(residues, moduli) if moduli else 0
+        if n + (u0 - n) % u >= 2 * n:
+            raise ValueError(
+                f"no n = u0 mod U lies in [N, 2N) = [{n}, {2 * n}) "
+                f"with U = {u}; lower d0 or raise n_start"
+            )
         if self.f.k != self.k:
             raise ValueError("F must live on the k-simplex")
-        if self.w_modulus % self.u_modulus:
-            raise ValueError("U must divide W")
-        rd = rad(abs(self.context.discriminant))
-        if self.u_modulus * rd != self.w_modulus:
-            raise ValueError("U != W / rad(|discriminant|)")
-        prod = 1
-        for h in self.tuple:
-            prod *= self.u0 + h
-        if math.gcd(prod, self.u_modulus) != 1:
-            raise ValueError("u0 + h_i shares a factor with U")
-        expected = self.n_start ** (self.theta / 2 - self.epsilon)
-        if not math.isclose(self.r_limit, expected, rel_tol=1e-12):
-            raise ValueError("r_limit != n_start^(theta/2 - epsilon)")
+        object.__setattr__(self, "w_modulus", w)
+        object.__setattr__(self, "u_modulus", u)
+        object.__setattr__(self, "u0", u0)
+        object.__setattr__(self, "r_limit", n ** (self.theta / 2 - self.epsilon))
+
+    @property
+    def k(self) -> int:
+        return self.tuple.k
 
     def to_json(self) -> dict:
         return {
@@ -123,63 +156,14 @@ def build_config(
     f: SimplexPolynomial | None = None,
     d0_override: float | None = None,
 ) -> SieveConfig:
-    """Assemble and validate a sieve run.
-
-    u0 is built prime by prime: for each p | U take the least residue u_p
-    with u_p + h_i nonzero mod p for every i (admissibility guarantees one
-    exists), then recombine by the Chinese remainder theorem.
-    """
-    if n_start < 2:
-        raise ValueError("n_start must be >= 2")
-    if not 0 < theta < 1:
-        raise ValueError("theta must lie in (0, 1)")
-    if not 0 < epsilon < theta / 2:
-        raise ValueError("epsilon must lie in (0, theta/2)")
-    if not is_admissible(tup):
-        raise ValueError(f"tuple {list(tup)} is not admissible")
+    """A SieveConfig with the default D0 = log log log N and F = 1 - P1
+    filled in; k must be the tuple's length."""
     if tup.k != k:
         raise ValueError("k disagrees with the tuple length")
     d0 = default_d0(n_start) if d0_override is None else float(d0_override)
-    if not (math.isfinite(d0) and d0 <= D0_MAX):
-        raise ValueError(f"d0 must be finite and at most {D0_MAX}, got {d0}")
-    w = primorial_below(d0) if d0 >= 2 else 1
-    delta_abs = abs(context.discriminant)
-    for p in prime_divisors(delta_abs):
-        if p > d0:
-            raise ValueError(
-                f"prime {p} of the discriminant exceeds D0 = {d0}; "
-                "U = W/rad(D) would not be integral"
-            )
-    u = w // rad(delta_abs)
-    residues, moduli = [], []
-    for p in prime_divisors(u):
-        banned = {(-h) % p for h in tup}
-        u_p = next(r for r in range(p) if r not in banned)
-        residues.append(u_p)
-        moduli.append(p)
-    u0 = crt(residues, moduli) if moduli else 0
-    if n_start + (u0 - n_start) % u >= 2 * n_start:
-        raise ValueError(
-            f"no n = u0 mod U lies in [N, 2N) = [{n_start}, {2 * n_start}) "
-            f"with U = {u}; lower d0 or raise n_start"
-        )
     if f is None:
         f = SimplexPolynomial.from_symmetric(k, {(): 1, (1,): -1})  # 1 - P1
-    r_limit = n_start ** (theta / 2 - epsilon)
-    return SieveConfig(
-        n_start=n_start,
-        k=k,
-        tuple=tup,
-        theta=theta,
-        epsilon=epsilon,
-        d0=d0,
-        w_modulus=w,
-        u_modulus=u,
-        u0=u0,
-        r_limit=r_limit,
-        f=f,
-        context=context,
-    )
+    return SieveConfig(n_start, tup, theta, epsilon, d0, f, context)
 
 
 def tuple_determinant(tup: Tuple) -> int:
@@ -199,65 +183,27 @@ def tuple_determinant(tup: Tuple) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _r_facts(cfg: SieveConfig) -> dict[int, tuple[int, Fraction]]:
-    """phi(r) and log r / log R for each r that lambda's inner sums run
-    over: the squarefree r < R coprime to W."""
-    # float logs are exact rationals; every enumerator shares this convention
-    log_r = Fraction(math.log(cfg.r_limit))
-    return {
-        r: (euler_phi(r), Fraction(math.log(r)) / log_r)
+def _components(cfg: SieveConfig) -> list[int]:
+    """The values a support vector's components take: the squarefree r < R
+    coprime to W, ascending."""
+    return [
+        r
         for r in range(1, math.ceil(cfg.r_limit))
         if is_squarefree(r) and math.gcd(r, cfg.w_modulus) == 1
-    }
+    ]
 
 
-def lambda_weight(d_vec, cfg: SieveConfig) -> Fraction:
-    """Exact lambda for one divisor vector; 0 off the support."""
-    return _lambda_weight(d_vec, cfg, _r_facts(cfg))
-
-
-def _lambda_weight(d_vec, cfg: SieveConfig, facts: dict) -> Fraction:
-    d_vec = tuple(int(d) for d in d_vec)
-    if len(d_vec) != cfg.k:
-        raise ValueError(f"need a {cfg.k}-vector")
-    if any(d < 1 for d in d_vec):
-        raise ValueError("divisors must be positive")
-    if math.prod(d_vec) not in facts:
-        return Fraction(0)
-    sign = 1
-    for di in d_vec:
-        sign *= mobius(di) * di
-    total = Fraction(0)
-
-    def rec(i: int, prod: int, phis: int, args: tuple):
-        nonlocal total
-        if i == cfg.k:
-            val = cfg.f.evaluate(args)
-            if val:
-                total += Fraction(1, phis) * val
-            return
-        di = d_vec[i]
-        r = di
-        while prod * r < cfg.r_limit:
-            if r in facts and math.gcd(r, prod) == 1:
-                phi, log_frac = facts[r]
-                rec(i + 1, prod * r, phis * phi, args + (log_frac,))
-            r += di
-        return
-
-    rec(0, 1, 1, ())
-    return sign * total
+def _r_facts(cfg: SieveConfig) -> dict[int, tuple[int, Fraction]]:
+    """phi(r) and log r / log R for each support component r."""
+    # float logs are exact rationals; every enumerator shares this convention
+    log_r = Fraction(math.log(cfg.r_limit))
+    return {r: (euler_phi(r), Fraction(math.log(r)) / log_r) for r in _components(cfg)}
 
 
 def support_d_vectors(cfg: SieveConfig) -> list[tuple[int, ...]]:
     """Every d-vector that can carry a nonzero lambda: squarefree pairwise
     coprime components, product < R, coprime to W."""
-    r_cap = math.ceil(cfg.r_limit)
-    singles = [
-        d
-        for d in range(1, r_cap + 1)
-        if d < cfg.r_limit and is_squarefree(d) and math.gcd(d, cfg.w_modulus) == 1
-    ]
+    singles = _components(cfg)
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, prod: int, acc: tuple):
@@ -275,9 +221,39 @@ def support_d_vectors(cfg: SieveConfig) -> list[tuple[int, ...]]:
 
 
 def lambda_table(cfg: SieveConfig) -> dict[tuple[int, ...], Fraction]:
-    """Sequential pre-pass: lambda on the whole support, keyed by d-vector."""
+    """lambda on the whole support, keyed by d-vector in support order.
+
+    y_r = F(log r_1 / log R, ..., log r_k / log R) / prod phi(r_i) is
+    computed once per support vector r and added into the sum of every d
+    that divides r componentwise (each such d is itself a support vector);
+    lambda_d is that sum times prod mu(d_i) d_i.
+    """
     facts = _r_facts(cfg)
-    return {d: _lambda_weight(d, cfg, facts) for d in support_d_vectors(cfg)}
+    divisors: dict[int, list[int]] = {r: [] for r in facts}
+    for d in facts:
+        for m in range(d, math.ceil(cfg.r_limit), d):
+            if m in divisors:
+                divisors[m].append(d)
+    support = support_d_vectors(cfg)
+    sums = dict.fromkeys(support, Fraction(0))
+    for r_vec in support:
+        y = cfg.f.evaluate([facts[r][1] for r in r_vec])
+        if y:
+            y /= math.prod(facts[r][0] for r in r_vec)
+            for d_vec in product(*(divisors[r] for r in r_vec)):
+                sums[d_vec] += y
+    return {d_vec: math.prod(mobius(d) * d for d in d_vec) * s for d_vec, s in sums.items()}
+
+
+def lambda_weight(d_vec, cfg: SieveConfig) -> Fraction:
+    """Exact lambda for one divisor vector; 0 off the support. It builds the
+    whole lambda_table, so a caller that needs many values takes the table."""
+    d_vec = tuple(int(d) for d in d_vec)
+    if len(d_vec) != cfg.k:
+        raise ValueError(f"need a {cfg.k}-vector")
+    if any(d < 1 for d in d_vec):
+        raise ValueError("divisors must be positive")
+    return lambda_table(cfg).get(d_vec, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +418,6 @@ class SResult:
     threshold: int
     windows: tuple  # (n, hits) pairs with hits >= threshold
 
-    def to_json(self) -> dict:
-        return {
-            "value": str(self.value),
-            "value_float": float(self.value),
-            "s1": str(self.s1),
-            "s2": str(self.s2),
-            "rho": str(self.rho),
-            "threshold": self.threshold,
-            "windows": [[n, h] for n, h in self.windows],
-        }
-
 
 def s_functional(cfg: SieveConfig, spec: ChebotarevSpec, rho) -> SResult:
     """S2 - rho S1; positivity certifies some window [n, n + diam(H)] with
@@ -492,7 +457,10 @@ def config_from_json(d: dict) -> tuple[SieveConfig, ChebotarevSpec | None]:
                 raise ValueError(
                     f"each 'f' entry must be [list of ints, number or string], got {item!r}"
                 )
-            coeffs[tuple(item[0])] = Fraction(item[1])
+            try:
+                coeffs[tuple(item[0])] = Fraction(item[1])
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise ValueError(f"'f' entry {item!r} is not a finite rational: {exc}") from None
         f = SimplexPolynomial.from_symmetric(k, coeffs)
     cfg = build_config(
         n_start=json_number(d, "n_start"),

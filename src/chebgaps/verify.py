@@ -30,6 +30,7 @@ from .gapscan import scan, tau_gap_scan
 from .primes import iter_prime_segments, verify_dusart
 from .sieve import (
     build_config,
+    lambda_table,
     lambda_weight,
     predicted_terms,
     sum_s1,
@@ -405,8 +406,7 @@ def criterion_9_sieve_ratio() -> CriterionResult:
     inv_ok = all(w >= 0 for w in table.weights) and s1 >= 0 and 0 <= s2 <= cfg.k * s1
     det_h = abs(tuple_determinant(cfg.tuple))
     guard = cfg.u_modulus * abs(cfg.context.discriminant) * det_h
-    for vec in support_d_vectors(cfg):
-        lam = lambda_weight(vec, cfg)
+    for vec, lam in lambda_table(cfg).items():
         d = math.prod(vec)
         if lam != 0:
             inv_ok = inv_ok and d < cfg.r_limit and is_squarefree(d)

@@ -269,6 +269,11 @@ def test_bad_input_exits_2(tmp_path, capsys):
     big_d = write_json(tmp_path, "spec_big_d.json", newform)
     assert main(["scan", "--config", big_d, "--x", "1000", "--bound", "4800"]) == 2
     assert "d and level must be < 2^63" in capsys.readouterr().err
+    for modulus in (10**19, 10**30):
+        big = {**scan_spec_json(), "modulus": modulus, "residues": [1]}
+        big_q = write_json(tmp_path, "spec_big_q.json", big)
+        assert main(["scan", "--config", big_q, "--x", "1000", "--bound", "4800"]) == 2
+        assert "modulus must be < 2^63" in capsys.readouterr().err
     # bounds guards the group order on its own path
     small = write_json(
         tmp_path,
@@ -293,6 +298,12 @@ def test_bad_input_exits_2(tmp_path, capsys):
         bad_f = write_json(tmp_path, "sieve_f.json", {**d, "f": f})
         assert main(["sieve", "--config", bad_f]) == 2
         assert "each 'f' entry must be" in capsys.readouterr().err
+    # a coefficient that is no finite rational: 1/0, and 1e400 read as infinity
+    bad_coeff = tmp_path / "sieve_f_coeff.json"
+    for f in ('[[[1], "1/0"]]', "[[[1], 1e400]]"):
+        bad_coeff.write_text(json.dumps(d).replace(json.dumps(d["f"]), f))
+        assert main(["sieve", "--config", str(bad_coeff)]) == 2
+        assert "'f' entry [[1], " in capsys.readouterr().err
     # integer fields and list entries are not truncated: 8.9 is not 8, true is not 1
     spec = scan_spec_json()
     fractional = {**spec, "modulus": 8.9, "residues": [3.7],

@@ -19,7 +19,6 @@ from chebgaps.chebsets import (
 )
 from chebgaps.primes import PrimeTable
 from chebgaps.sieve import (
-    SieveConfig,
     build_config,
     config_from_json,
     default_d0,
@@ -51,6 +50,17 @@ def small_config():
         epsilon=0.05,
         d0_override=3,
     )
+
+
+def k3_configs():
+    """k = 3 at R ~ 20.9 with several sieving primes: W = 6, W = 30 with
+    U = 6, and W = 2, where d_i = 15 is a composite support divisor (19, 16
+    and 31 support vectors)."""
+    return [
+        build_config(2000, 3, Tuple([0, 2, 6]), ctx, 0.9, 0.05, d0_override=d0)
+        for ctx, d0 in [(ALL_PRIMES, 3), (GaloisContext(2, 1, 5, abelian_conductor=5), 5),
+                        (ALL_PRIMES, 2)]
+    ]
 
 
 # -- independent oracles (trial division only, no package arithmetic) ---------------
@@ -205,25 +215,6 @@ def test_build_config_rejections():
         build_config(10**5, 3, Tuple([0, 4]), ALL_PRIMES, 0.4, 0.05, d0_override=5)
 
 
-def test_config_validation_catches_tampering():
-    cfg = small_config()
-    with pytest.raises(ValueError):
-        SieveConfig(
-            n_start=cfg.n_start,
-            k=cfg.k,
-            tuple=cfg.tuple,
-            theta=cfg.theta,
-            epsilon=cfg.epsilon,
-            d0=cfg.d0,
-            w_modulus=cfg.w_modulus,
-            u_modulus=cfg.u_modulus,
-            u0=cfg.u0 + 1,  # 5 -> 6 collides with U
-            r_limit=cfg.r_limit,
-            f=cfg.f,
-            context=cfg.context,
-        )
-
-
 def test_tuple_determinant():
     assert tuple_determinant(Tuple([0, 2])) == -4
     assert tuple_determinant(Tuple([0, 2, 6])) == (-2) * (-6) * 2 * (-4) * 6 * 4
@@ -243,6 +234,11 @@ def test_support_vectors_small_config():
 
 
 def test_lambda_matches_brute_force():
+    for cfg in k3_configs():
+        table = lambda_table(cfg)
+        assert list(table) == support_d_vectors(cfg)
+        for dv, lam in table.items():
+            assert lam == brute_lambda(dv, cfg)
     cfg = small_config()
     for dv in support_d_vectors(cfg):
         assert lambda_weight(dv, cfg) == brute_lambda(dv, cfg)
@@ -254,6 +250,22 @@ def test_lambda_matches_brute_force():
         lambda_weight((1,), cfg)
     with pytest.raises(ValueError):
         lambda_weight((0, 1), cfg)
+
+
+def test_lambda_table_evaluates_f_once_per_support_vector(monkeypatch):
+    calls = []
+    evaluate = SimplexPolynomial.evaluate
+
+    def counted(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(SimplexPolynomial, "evaluate", counted)
+    for cfg, size in zip([small_config(), *k3_configs()], [9, 19, 16, 31]):
+        calls.clear()
+        table = lambda_table(cfg)
+        assert len(table) == size
+        assert len(calls) == size
 
 
 def test_lambda_support_invariants():
@@ -282,15 +294,8 @@ def test_lambda_at_one_is_f_at_origin_sum():
 
 
 def test_sums_match_brute_force():
-    """k = 2 on small_config, and k = 3 at R ~ 20.9 with several sieving
-    primes: W = 6, W = 30 with U = 6, and W = 2, where d_i = 15 is a
-    composite support divisor (19, 16 and 31 support vectors)."""
-    k3 = [
-        build_config(2000, 3, Tuple([0, 2, 6]), ctx, 0.9, 0.05, d0_override=d0)
-        for ctx, d0 in [(ALL_PRIMES, 3), (GaloisContext(2, 1, 5, abelian_conductor=5), 5),
-                        (ALL_PRIMES, 2)]
-    ]
-    for cfg in [small_config(), *k3]:
+    """k = 2 on small_config, and the three k = 3 configs."""
+    for cfg in [small_config(), *k3_configs()]:
         lams = {dv: brute_lambda(dv, cfg) for dv in support_d_vectors(cfg)}
         s1_oracle, s2_oracle = brute_sums(cfg, lams)
         table = weight_table(cfg, all_primes_spec())
