@@ -16,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebsets import ChebotarevSpec, GaloisContext, NewformCongruence, members_in_segment
-from .primes import iter_prime_segments
+from .chebsets import (
+    ChebotarevSpec,
+    Congruence,
+    GaloisContext,
+    NewformCongruence,
+    members_in_segment,
+)
+from .primes import iter_prime_segments, sieve_work
 
 # histogram keys above this collapse into one overflow bucket so x = 10^8
 # runs stay bounded in memory
@@ -90,9 +96,27 @@ class _Accum:
             self.hist[g] = self.hist.get(g, 0) + c
 
 
+def _sieve_classes(spec: ChebotarevSpec, lo: int, hi: int) -> tuple[int, list[int]]:
+    """The residue classes the scan of [lo, hi) sieves, as (modulus, residues).
+
+    A Congruence spec's classes, lifted to lcm(q, 2) so that each keeps only
+    its odd numbers, when they cost less work than the odd numbers do; else
+    the odd numbers, the one class 1 mod 2. Either way the sieve also yields
+    the primes dividing the modulus, so every member is among its candidates.
+    """
+    if isinstance(spec, Congruence):
+        q = spec.modulus
+        lifted = q if q % 2 == 0 else 2 * q
+        res = [r if r % 2 else r + q for r in spec.residues]
+        if lifted < 2**63 and sieve_work(lo, hi, lifted, len(res)) < sieve_work(lo, hi, 2, 1):
+            return lifted, res
+    return 2, [1]
+
+
 def _scan_range(spec: ChebotarevSpec, lo: int, hi: int, bound: int) -> _Accum:
     acc = _Accum()
-    for seg in iter_prime_segments(lo, hi):
+    modulus, residues = _sieve_classes(spec, lo, hi)
+    for seg in iter_prime_segments(lo, hi, modulus=modulus, residues=residues):
         acc.feed(members_in_segment(spec, seg), bound)
     return acc
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 import chebgaps.gapscan as gapscan
 from chebgaps.chebsets import Congruence, GaloisContext, all_primes_spec
+from chebgaps.cli import main
 from chebgaps.gapscan import (
     GapReport,
     REPORT_FIELDS,
@@ -180,6 +182,61 @@ def test_parallel_stitch_matches_member_loop(monkeypatch):
         r = scan(mod8_spec(), 10**5, 16, threads=threads)
         assert (r.prime_count, r.min_gap, r.min_gap_pair) == (count, min_gap, min_pair)
         assert (r.pairs_within_bound, r.histogram) == (pairs_in, hist)
+
+
+def odd_only(spec, lo, hi):
+    """The sieve route before class sieving: every odd number."""
+    return 2, [1]
+
+
+CTX = GaloisContext(2, 1, 1)
+ROUTE_SPECS = [
+    # criterion 11's input
+    (Congruence(8, {3}, MOD8_CTX), True),
+    # 2 is a member, and lifting to mod 6 drops it from the classes
+    (Congruence(3, {2}, CTX), True),
+    (Congruence(5, {1, 4}, CTX), True),
+    # 400 columns of 1000 rows cost more than the odd numbers
+    (Congruence(1000, [r for r in range(1000) if math.gcd(r, 1000) == 1], CTX), False),
+    # a modulus above x: one row per segment
+    (Congruence(1_000_003, {1, 2, 999_983}, CTX), True),
+]
+
+
+def test_scan_same_report_by_either_sieve(monkeypatch):
+    monkeypatch.setattr(gapscan, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    x = 10**6
+    for spec, by_classes in ROUTE_SPECS:
+        assert (gapscan._sieve_classes(spec, 2, x + 1) != odd_only(spec, 2, x + 1)) == by_classes
+        got = [scan(spec, x, 4800, threads=t).to_json() for t in (1, 2, 3, 7)]
+        with monkeypatch.context() as m:
+            m.setattr(gapscan, "_sieve_classes", odd_only)
+            want = [scan(spec, x, 4800, threads=t).to_json() for t in (1, 2, 3, 7)]
+        assert got == want, spec.spec_id
+    mod3 = scan(ROUTE_SPECS[1][0], x, 4800)
+    assert (mod3.min_gap, mod3.min_gap_pair) == (3, (2, 5))
+
+
+def test_scan_huge_modulus_same_csv(tmp_path, monkeypatch):
+    # 2q overflows int64 for the odd moduli, so they take the odd route;
+    # 2^62 is its own lift and takes the class route
+    classes = gapscan._sieve_classes
+    out = tmp_path / "scan.csv"
+    for q, by_classes in ((2**62 + 1, False), (2**63 - 25, False), (2**62, True)):
+        residues = [1, 3, 999_983]
+        assert (classes(Congruence(q, residues, CTX), 2, 10**6 + 1)[0] == q) == by_classes
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"variant": "congruence", "modulus": q,
+                                   "residues": residues, "context": CTX.to_json()}))
+        args = ["scan", "--config", str(cfg), "--x", "1000000", "--bound", "4800", "--out", str(out)]
+        routes = []
+        for route in (classes, odd_only):
+            monkeypatch.setattr(gapscan, "_sieve_classes", route)
+            assert main(args) == 0
+            routes.append([out.read_bytes(), (tmp_path / "scan.csv.hist.csv").read_bytes()])
+        assert routes[0] == routes[1]
+        assert b"congruence_q%d_1-3-999983,1000000,2," % q in routes[0][0]
 
 
 def test_scan_monotone_in_limit():

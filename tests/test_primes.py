@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from chebgaps.primes import (
     prime_count,
     primorial_below,
     sieve_range,
+    sieve_work,
     verify_dusart,
 )
 
@@ -79,6 +81,104 @@ def test_segments_at_range_edges():
                     a, b = np.searchsorted(whole, [start, start + segment])
                     assert arr.dtype == np.int64
                     assert np.array_equal(arr, whole[a:b]), (lo, segment, hi, start)
+
+
+def odd_only_segments(lo, hi, segment=DEFAULT_SEGMENT):
+    """The odd-only segment loop as it stood before the class sieve: the
+    oracle for the default call."""
+    lo = max(lo, 2)
+    if lo >= hi:
+        return
+    base = np.flatnonzero(_small_sieve(math.isqrt(hi - 1)))[1:]
+    start = lo
+    while start < hi:
+        stop = min(start + segment, hi)
+        odd0 = start | 1
+        mask = np.ones((stop - odd0 + 1) // 2, dtype=bool)
+        ps = base[: np.searchsorted(base, math.isqrt(stop - 1), side="right")]
+        first = np.maximum(ps * ps, -(-odd0 // ps) * ps)
+        first += ps * (first % 2 == 0)
+        for p, i in zip(ps.tolist(), ((first - odd0) // 2).tolist()):
+            mask[i::p] = False
+        primes = np.flatnonzero(mask) * 2 + odd0
+        if start == 2:
+            primes = np.concatenate(([2], primes))
+        yield primes
+        start = stop
+
+
+def test_default_segments_are_the_odd_only_sieve():
+    old = list(odd_only_segments(2, 3 * 10**6))
+    new = list(iter_prime_segments(2, 3 * 10**6))
+    assert len(new) == len(old) == 3
+    for a, b in zip(old, new):
+        assert b.dtype == np.int64 and np.array_equal(a, b)
+
+
+def units(q):
+    return [r for r in range(q) if math.gcd(r, q) == 1]
+
+
+def test_class_sieve_matches_small_sieve_and_trial_division():
+    # each array is the slice, in its segment [start, start + segment), of the
+    # whole-range primes in the classes or dividing q; ranges start at 0, 1
+    # and 2, at small primes of a class (3, 11 and 19 are 3 mod 8), on block
+    # edges, span less than q, or lie wholly below q
+    trial = trial_division_primes(0, 3000)
+    ranges = [(0, 3000, 512), (1, 1000, 97), (2, 3000, DEFAULT_SEGMENT), (3, 700, 64),
+              (11, 700, 64), (19, 700, 64), (512, 2048, 256), (1000, 1013, 256),
+              (2000, 2100, 7), (0, 7, 3), (5, 29, 2), (100, 103, 2)]
+    for q in (1, 2, 3, 4, 8, 30, 210):
+        us = units(q)
+        for residues in (us[-1:], us[1::2] or us, us):
+            for lo, hi, segment in ranges:
+                whole = np.flatnonzero(_small_sieve(hi - 1))
+                whole = whole[np.isin(whole % q, residues) | (q % whole == 0)]
+                want = [p for p in trial if lo <= p < hi and (p % q in residues or q % p == 0)]
+                assert whole[whole >= lo].tolist() == want
+                got = list(iter_prime_segments(lo, hi, segment, q, residues))
+                starts = range(max(lo, 2), hi, segment)
+                assert len(got) == len(starts), (q, residues, lo, hi)
+                for start, arr in zip(starts, got):
+                    a, b = np.searchsorted(whole, [start, start + segment])
+                    assert arr.dtype == np.int64
+                    assert np.array_equal(arr, whole[a:b]), (q, residues, lo, hi, start)
+    # 3, 11 and 19 are primes 3 mod 8 below their own squares
+    assert np.concatenate(list(iter_prime_segments(3, 20, 4, 8, [3]))).tolist() == [3, 11, 19]
+
+
+def test_class_sieve_large_moduli():
+    # moduli far above hi, with prime factors on either side of isqrt(hi - 1)
+    # and of hi, up to the largest an int64 holds
+    hi = 1_100_000
+    whole = np.flatnonzero(_small_sieve(hi - 1))
+    for q, residues in [
+        (2 * 1_000_003 * 1_000_033, [1, 3, 999_983]),
+        (3 * 1_000_003 * 2_000_029, [1, 2, 5]),
+        (2 * 3 * 1009 * 1_048_573, [7, 1_048_583]),
+        (2**62, [1, 3, 999_983]),
+        (2**63 - 25, [1, 2]),
+    ]:
+        want = whole[np.isin(whole, residues) | (q % whole == 0)]
+        got = np.concatenate(list(iter_prime_segments(0, hi, modulus=q, residues=residues)))
+        assert got.dtype == np.int64 and np.array_equal(got, want), q
+
+
+def test_class_sieve_rejections():
+    for q, residues in ((0, [1]), (2**63, [1]), (8, []), (8, [2]), (8, [3, 4]), (30, [1, 25])):
+        with pytest.raises(ValueError):
+            next(iter_prime_segments(2, 100, modulus=q, residues=residues))
+
+
+def test_sieve_work_counts_entries_and_strided_writes():
+    # one segment of 2^20 odd numbers, struck by the 167 odd primes up to
+    # 1000, against one class mod 8 and against 400 classes mod 1000
+    odd = sieve_work(2, 10**6 + 1, 2, 1)
+    assert odd == (499_999 + 1) * (1 + 167)
+    assert sieve_work(2, 10**6 + 1, 8, 1) == (124_999 + 1) * (1 + 167)
+    assert sieve_work(2, 10**6 + 1, 1000, 400) > odd
+    # a modulus above hi gives one row per segment, so no strided writes
+    assert sieve_work(2, 10**6 + 1, 10**7, 3) == 3
 
 
 def test_prime_table_counts():
