@@ -23,7 +23,7 @@ from .chebsets import (
     NewformCongruence,
     members_in_segment,
 )
-from .primes import iter_prime_segments, sieve_work
+from .primes import iter_prime_segments, sieve_cost
 
 # histogram keys above this collapse into one overflow bucket so x = 10^8
 # runs stay bounded in memory
@@ -100,16 +100,20 @@ def _sieve_classes(spec: ChebotarevSpec, lo: int, hi: int) -> tuple[int, list[in
     """The residue classes the scan of [lo, hi) sieves, as (modulus, residues).
 
     A Congruence spec's classes, lifted to lcm(q, 2) so that each keeps only
-    its odd numbers, when they cost less work than the odd numbers do; else
-    the odd numbers, the one class 1 mod 2. Either way the sieve also yields
-    the primes dividing the modulus, so every member is among its candidates.
+    its odd numbers, when they cost less work than the odd numbers do and
+    hold no more bytes per segment; else the odd numbers, the one class
+    1 mod 2. The modulus is even either way, so the sieve also yields 2, and
+    every member is among its candidates.
     """
     if isinstance(spec, Congruence):
         q = spec.modulus
         lifted = q if q % 2 == 0 else 2 * q
         res = [r if r % 2 else r + q for r in spec.residues]
-        if lifted < 2**63 and sieve_work(lo, hi, lifted, len(res)) < sieve_work(lo, hi, 2, 1):
-            return lifted, res
+        if lifted < 2**63:
+            work, held = sieve_cost(lo, hi, lifted, len(res))
+            odd_work, odd_held = sieve_cost(lo, hi, 2, 1)
+            if work < odd_work and held <= odd_held:
+                return lifted, res
     return 2, [1]
 
 

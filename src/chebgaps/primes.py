@@ -58,8 +58,8 @@ def iter_prime_segments(
     lo: int, hi: int, segment: int = DEFAULT_SEGMENT, modulus: int = 2, residues=(1,)
 ):
     """Yield numpy arrays of the primes in [lo, hi) that lie in the residue
-    classes `residues` mod q = `modulus`, together with the primes that divide
-    q; one ascending int64 array per segment [start, start + segment).
+    classes `residues` mod q = `modulus`, and of 2 when q is even; one
+    ascending int64 array per segment [start, start + segment).
 
     A segment's bitmap has one row per run of q integers and one column per
     class, in C order: entry (j, c) stands for b + qj + r_c, b the multiple of
@@ -80,10 +80,7 @@ def iter_prime_segments(
     lo = max(lo, 2)
     if lo >= hi:
         return
-    small = np.flatnonzero(_small_sieve(math.isqrt(hi - 1)))
-    divides = q % small == 0
-    extra = _prime_divisors_below(q, hi, small[divides])
-    base = small[~divides]
+    base = _base_primes(q, hi)
     bases = base.tolist()
     width = len(res)
     # for base prime p (a row here) and class r (a column), with b = qB:
@@ -95,17 +92,12 @@ def iter_prime_segments(
     v = -((r - ps * ps) // q)
     steps = (ps * width).repeat(width, axis=1)
     cols = np.arange(width)
-    start = lo
-    while start < hi:
-        stop = min(start + segment, hi)
-        B = start // q
-        b = B * q
-        rows = -(-(stop - b) // q)
+    for start, stop, b, rows, k in _segments(lo, hi, segment, q, bases):
+        B = b // q
         mask = np.ones(rows * width, dtype=bool)
         # entries below start open the first row, those from stop on close the last
         mask[: bisect.bisect_left(res, start - b)] = False
         mask[(rows - 1) * width + bisect.bisect_left(res, stop - b - (rows - 1) * q) :] = False
-        k = bisect.bisect_right(bases, math.isqrt(stop - 1))
         low = np.maximum(v[:k] - B, 0)
         j = (u[:k] - B - low) % ps[:k] + low
         slots = j * width + cols
@@ -123,50 +115,52 @@ def iter_prime_segments(
         else:
             row, col = np.divmod(primes, width)
             primes = row * q + (b + r)[col]
-        mine = extra[bisect.bisect_left(extra, start) : bisect.bisect_left(extra, stop)]
-        if mine:
-            primes = np.insert(primes, np.searchsorted(primes, mine), mine)
+        if start == 2 and q % 2 == 0:
+            primes = np.concatenate(([2], primes))
         yield primes
+
+
+def _base_primes(q: int, hi: int) -> np.ndarray:
+    """The primes up to isqrt(hi - 1) that do not divide q: the ones that
+    strike a sieve of numbers below hi in classes mod q."""
+    small = np.flatnonzero(_small_sieve(math.isqrt(hi - 1)))
+    return small[q % small != 0]
+
+
+def _segments(lo: int, hi: int, segment: int, q: int, bases: list[int]):
+    """Lay out [lo, hi) in segments [start, stop) for a sieve mod q, as
+    (start, stop, b, rows, k): b is the multiple of q at or below start, the
+    bitmap has `rows` rows of q integers from b, and the first k of `bases`
+    (ascending) reach isqrt(stop - 1)."""
+    start = lo
+    while start < hi:
+        stop = min(start + segment, hi)
+        b = start // q * q
+        yield start, stop, b, -(-(stop - b) // q), bisect.bisect_right(bases, math.isqrt(stop - 1))
         start = stop
 
 
-def sieve_work(lo: int, hi: int, modulus: int, width: int) -> int:
-    """The work of iter_prime_segments over [lo, hi) for `width` classes mod
-    `modulus`, at the default segment size, in bitmap entries.
+def sieve_cost(lo: int, hi: int, modulus: int, width: int) -> tuple[int, int]:
+    """(work, held) of iter_prime_segments over [lo, hi) for `width` classes
+    mod `modulus`, at the default segment size, both in bytes of the arrays
+    it builds, from the same segment layout as the sieve.
 
-    A segment's bitmap has width * rows entries, and each strided write walks
-    it from its first strike to its end, so it counts as the whole bitmap
-    again. A column takes a strided write from each base prime up to its rows
-    that does not divide the modulus; a larger base prime strikes a column at
-    most once, in the segment's one scattered write, and is not counted.
+    A segment holds its bitmap, one byte per entry, width * rows, and int64
+    index tables of one entry per base prime and class, 8 * width * k; `held`
+    is the most any segment holds. Its work is those bytes plus the strided
+    writes: each walks the bitmap from its first strike to its end, so it
+    counts as the whole bitmap again. A column takes a strided write from
+    each base prime below its rows; a larger one strikes it at most once, in
+    the segment's one scattered write, counted with the tables.
     """
-    lo = max(lo, 2)
-    rows = min(DEFAULT_SEGMENT, hi - lo) // modulus + 1
-    base = np.flatnonzero(_small_sieve(min(rows, math.isqrt(hi - 1))))
-    writes = width * int(np.count_nonzero(modulus % base))
-    return -(-(hi - lo) // DEFAULT_SEGMENT) * width * rows * (1 + writes)
-
-
-def _prime_divisors_below(q: int, hi: int, small: np.ndarray) -> list[int]:
-    """The primes below hi that divide q, ascending, given those up to
-    isqrt(hi - 1) as `small`."""
-    out = small.tolist()
-    m = q
-    for p in out:
-        while m % p == 0:
-            m //= p
-    # every prime factor of m now exceeds isqrt(hi - 1), so m below hi is 1
-    # or prime, and every divisor of m below hi is prime
-    top = min(math.isqrt(m), hi - 1)
-    for d0 in range(math.isqrt(hi - 1) + 1, top + 1, DEFAULT_SEGMENT):
-        ds = np.arange(d0, min(d0 + DEFAULT_SEGMENT, top + 1), dtype=np.int64)
-        for p in ds[m % ds == 0].tolist():
-            out.append(p)
-            while m % p == 0:
-                m //= p
-    if 1 < m < hi:
-        out.append(m)
-    return out
+    bases = _base_primes(modulus, hi).tolist()
+    work = held = 0
+    for _, _, _, rows, k in _segments(max(lo, 2), hi, DEFAULT_SEGMENT, modulus, bases):
+        bitmap, tables = width * rows, 8 * width * k
+        writes = width * bisect.bisect_left(bases, rows, 0, k)
+        work += bitmap * (1 + writes) + tables
+        held = max(held, bitmap + tables)
+    return work, held
 
 
 class PrimeTable:

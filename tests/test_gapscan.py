@@ -218,6 +218,17 @@ def test_scan_same_report_by_either_sieve(monkeypatch):
     assert (mod3.min_gap, mod3.min_gap_pair) == (3, (2, 5))
 
 
+def test_scan_many_classes_of_a_large_modulus_take_odd_route():
+    # the 500,001 quadratic residues mod the prime 1,000,003: one row per
+    # segment, but index tables of 500,001 entries per base prime, far more
+    # than the odd numbers' bitmap
+    q = 1_000_003
+    squares = np.unique(np.arange(1, q, dtype=np.int64) ** 2 % q).tolist()
+    spec = Congruence(q, squares, CTX)
+    for lo, hi in ((2, 10**6 + 1), (2, 10**8 + 1), (5 * 10**7, 10**8 + 1)):
+        assert gapscan._sieve_classes(spec, lo, hi) == (2, [1])
+
+
 def test_scan_huge_modulus_same_csv(tmp_path, monkeypatch):
     # 2q overflows int64 for the odd moduli, so they take the odd route;
     # 2^62 is its own lift and takes the class route

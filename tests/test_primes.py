@@ -14,7 +14,7 @@ from chebgaps.primes import (
     prime_count,
     primorial_below,
     sieve_range,
-    sieve_work,
+    sieve_cost,
     verify_dusart,
 )
 
@@ -121,7 +121,7 @@ def units(q):
 
 def test_class_sieve_matches_small_sieve_and_trial_division():
     # each array is the slice, in its segment [start, start + segment), of the
-    # whole-range primes in the classes or dividing q; ranges start at 0, 1
+    # whole-range primes in the classes, and 2 when q is even; ranges start at 0, 1
     # and 2, at small primes of a class (3, 11 and 19 are 3 mod 8), on block
     # edges, span less than q, or lie wholly below q
     trial = trial_division_primes(0, 3000)
@@ -133,8 +133,8 @@ def test_class_sieve_matches_small_sieve_and_trial_division():
         for residues in (us[-1:], us[1::2] or us, us):
             for lo, hi, segment in ranges:
                 whole = np.flatnonzero(_small_sieve(hi - 1))
-                whole = whole[np.isin(whole % q, residues) | (q % whole == 0)]
-                want = [p for p in trial if lo <= p < hi and (p % q in residues or q % p == 0)]
+                whole = whole[np.isin(whole % q, residues) | (whole == 2) & (q % 2 == 0)]
+                want = [p for p in trial if lo <= p < hi and (p % q in residues or p == 2 and q % 2 == 0)]
                 assert whole[whole >= lo].tolist() == want
                 got = list(iter_prime_segments(lo, hi, segment, q, residues))
                 starts = range(max(lo, 2), hi, segment)
@@ -148,18 +148,16 @@ def test_class_sieve_matches_small_sieve_and_trial_division():
 
 
 def test_class_sieve_large_moduli():
-    # moduli far above hi, with prime factors on either side of isqrt(hi - 1)
-    # and of hi, up to the largest an int64 holds
+    # moduli far above hi, up to the largest an int64 holds
     hi = 1_100_000
     whole = np.flatnonzero(_small_sieve(hi - 1))
     for q, residues in [
-        (2 * 1_000_003 * 1_000_033, [1, 3, 999_983]),
-        (3 * 1_000_003 * 2_000_029, [1, 2, 5]),
-        (2 * 3 * 1009 * 1_048_573, [7, 1_048_583]),
+        (2 * 1_000_003, [1, 3, 999_983]),
+        (3 * 1_000_003, [1, 2, 5]),
         (2**62, [1, 3, 999_983]),
         (2**63 - 25, [1, 2]),
     ]:
-        want = whole[np.isin(whole, residues) | (q % whole == 0)]
+        want = whole[np.isin(whole, residues) | (whole == 2) & (q % 2 == 0)]
         got = np.concatenate(list(iter_prime_segments(0, hi, modulus=q, residues=residues)))
         assert got.dtype == np.int64 and np.array_equal(got, want), q
 
@@ -170,15 +168,18 @@ def test_class_sieve_rejections():
             next(iter_prime_segments(2, 100, modulus=q, residues=residues))
 
 
-def test_sieve_work_counts_entries_and_strided_writes():
-    # one segment of 2^20 odd numbers, struck by the 167 odd primes up to
-    # 1000, against one class mod 8 and against 400 classes mod 1000
-    odd = sieve_work(2, 10**6 + 1, 2, 1)
-    assert odd == (499_999 + 1) * (1 + 167)
-    assert sieve_work(2, 10**6 + 1, 8, 1) == (124_999 + 1) * (1 + 167)
-    assert sieve_work(2, 10**6 + 1, 1000, 400) > odd
-    # a modulus above hi gives one row per segment, so no strided writes
-    assert sieve_work(2, 10**6 + 1, 10**7, 3) == 3
+def test_sieve_cost_counts_bytes_and_strided_writes():
+    # one segment: 500,000 rows of 2 from b = 2, struck by the 167 odd primes
+    # up to 1000, against 125,001 rows of 8 from b = 0
+    odd = sieve_cost(2, 10**6 + 1, 2, 1)
+    assert odd == (500_000 * (1 + 167) + 8 * 167, 500_000 + 8 * 167)
+    assert sieve_cost(2, 10**6 + 1, 8, 1) == (125_001 * (1 + 167) + 8 * 167, 125_001 + 8 * 167)
+    # 400 classes mod 1000 take 400 strided writes per base prime
+    assert sieve_cost(2, 10**6 + 1, 1000, 400)[0] > odd[0]
+    # a modulus above hi gives one row per segment, so no strided writes,
+    # and index tables for 166 base primes, each 8 bytes per class
+    assert sieve_cost(2, 10**6 + 1, 10**7, 3) == (3 + 8 * 3 * 166, 3 + 8 * 3 * 166)
+    assert sieve_cost(2, 10**6 + 1, 10**7, 10**5)[1] > odd[1]
 
 
 def test_prime_table_counts():
