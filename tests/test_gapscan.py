@@ -16,7 +16,7 @@ from chebgaps.gapscan import (
     tau_gap_scan,
     write_scan_csv,
 )
-from chebgaps.primes import sieve_range
+from chebgaps.primes import sieve_cost, sieve_range
 
 MOD8_CTX = GaloisContext(2, 1, 1, abelian_conductor=8)
 
@@ -219,14 +219,20 @@ def test_scan_same_report_by_either_sieve(monkeypatch):
 
 
 def test_scan_many_classes_of_a_large_modulus_take_odd_route():
-    # the 500,001 quadratic residues mod the prime 1,000,003: one row per
-    # segment, but index tables of 500,001 entries per base prime, far more
-    # than the odd numbers' bitmap
+    # one row per segment, but index tables of one int64 entry per base prime
+    # and class: for the 500,001 quadratic residues mod the prime 1,000,003
+    # they cost more work than the odd numbers; for 60,000 odd classes mod
+    # 2^25 they cost less, but hold far more bytes than the odd numbers'
+    # bitmap
     q = 1_000_003
     squares = np.unique(np.arange(1, q, dtype=np.int64) ** 2 % q).tolist()
-    spec = Congruence(q, squares, CTX)
-    for lo, hi in ((2, 10**6 + 1), (2, 10**8 + 1), (5 * 10**7, 10**8 + 1)):
-        assert gapscan._sieve_classes(spec, lo, hi) == (2, [1])
+    for spec, more_work in ((Congruence(q, squares, CTX), True),
+                            (Congruence(2**25, range(1, 120_000, 2), CTX), False)):
+        lifted = spec.modulus * (1 + spec.modulus % 2)
+        for lo, hi in ((2, 10**6 + 1), (2, 10**8 + 1), (5 * 10**7, 10**8 + 1)):
+            work = sieve_cost(lo, hi, lifted, len(spec.residues))[0]
+            assert (work > sieve_cost(lo, hi, 2, 1)[0]) == more_work
+            assert gapscan._sieve_classes(spec, lo, hi) == (2, [1])
 
 
 def test_scan_huge_modulus_same_csv(tmp_path, monkeypatch):
