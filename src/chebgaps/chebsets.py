@@ -14,6 +14,7 @@ supplied by the caller; the artifact never computes Galois groups itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -244,77 +245,48 @@ def _polydiv_exact(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible_q(f: list[int]) -> bool:
-    """Irreducibility over Q for monic integer f, complete for degree <= 4."""
-    n = len(f) - 1
-    if n == 1:
-        return True
-    # rational roots must be integer divisors of f(0)
-    c0 = f[0]
-    if c0 == 0:
+    """Irreducibility over Q of a monic integer f of any degree n: splitting types
+    at a dozen primes rule out most factor degrees m <= n/2 (Musser's degree sets),
+    and exact division by each product of m roots, rounded, settles the rest."""
+    n, disc = len(f) - 1, poly_discriminant(f)
+    if disc == 0:
         return False
-    for d in range(1, abs(c0) + 1):
-        if abs(c0) % d == 0:
-            for r in (d, -d):
-                if sum(c * r**i for i, c in enumerate(f)) == 0:
+    primes = (p for p in itertools.count(2) if disc % p and all(p % q for q in range(2, p)))
+    sizes = set(range(1, n // 2 + 1))
+    for p in itertools.islice(primes, 12):
+        sums = {0}
+        for d in factorization_type(f, p):
+            sums |= {s + d for s in sums}
+        if not (sizes := sizes & sums):
+            return True
+    import mpmath
+    R = 1 + max(abs(c) for c in f[:-1])  # roots are R y with |y| <= 1
+    bound = R * (2 * R) ** n  # an error e in y moves a factor's coefficients by < e * bound
+    with mpmath.workprec(bound.bit_length() + 32):
+        scaled = [mpmath.mpf(c) / R**k for k, c in enumerate(f[::-1])]  # f(R y) / R^n
+        start = [mpmath.mpc(z) for z in np.roots(np.array(scaled, dtype=float))]
+        try:  # refine the double-precision roots
+            ys, err = mpmath.polyroots(scaled, 100 * n, extraprec=2 * n, error=True, roots_init=start)
+        except mpmath.mp.NoConvergence as exc:
+            raise ValueError(f"irreducibility of {f} undecided: no root convergence") from exc
+        if err * bound >= 0.25:
+            raise ValueError(f"irreducibility of {f} undecided: root error {err}")
+        for m in sorted(sizes):
+            for subset in itertools.combinations(ys, m):
+                g = [mpmath.mpc(1)]
+                for y in subset:
+                    g = [a - R * y * b for a, b in zip([0, *g], [*g, 0])]
+                g, rem = [int(mpmath.nint(c.real)) for c in g], f[:]
+                for i in range(n - m, -1, -1):  # the right side is built before rem changes
+                    rem[i : i + m + 1] = [c - rem[i + m] * b for c, b in zip(rem[i : i + m + 1], g)]
+                if not any(rem):
                     return False
-    if n <= 3:
-        return True
-    if n == 4:
-        # quadratic splits f = (x^2 + a x + b)(x^2 + cc x + d): b d = e0,
-        # a + cc = e3, b + d + a cc = e2, a d + b cc = e1. For each (b, d)
-        # pair, a and cc are the integer roots of t^2 - e3 t + (e2 - b - d).
-        e3, e2, e1, e0 = f[3], f[2], f[1], f[0]
-        divisors = [t for t in range(1, abs(e0) + 1) if e0 % t == 0]
-        for b in sorted({t for t in divisors} | {-t for t in divisors}):
-            d = e0 // b
-            disc = e3 * e3 - 4 * (e2 - b - d)
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            if s * s != disc:
-                continue
-            for a in {(e3 + s) // 2, (e3 - s) // 2}:
-                cc = e3 - a
-                if (e3 + s) % 2 and (e3 - s) % 2:
-                    continue
-                if a + cc == e3 and b + d + a * cc == e2 and a * d + b * cc == e1:
-                    return False
-        return True
-    return True  # degree > 4: only the rational-root screen above
+    return True
 
 
 # ---------------------------------------------------------------------------
 # binary quadratic forms
 # ---------------------------------------------------------------------------
-
-
-def represents(a: int, b: int, c: int, p: int) -> bool:
-    """Whether a x^2 + b x y + c y^2 = p has an integer solution.
-
-    The form must be positive definite (a > 0, b^2 - 4ac < 0) and primitive.
-    Exhaustive: y is bounded by 4ap/|D|, and for each y the x-equation is a
-    quadratic with integer discriminant 4ap - |D| y^2. This is the test
-    oracle for QuadFormRep.is_member, which decides primes by reduction.
-    """
-    D = b * b - 4 * a * c
-    if a <= 0 or D >= 0:
-        raise ValueError("form must be positive definite (a > 0, b^2 - 4ac < 0)")
-    if math.gcd(math.gcd(a, b), c) != 1:
-        raise ValueError("form must be primitive")
-    if p < 0:
-        raise ValueError("target must be non-negative")
-    absD = -D
-    y = 0
-    while True:
-        disc_x = 4 * a * p - absD * y * y
-        if disc_x < 0:
-            return False
-        s = math.isqrt(disc_x)
-        if s * s == disc_x:
-            for sg in (s, -s):
-                if (-b * y + sg) % (2 * a) == 0:
-                    return True
-        y += 1
 
 
 def _sqrt_mod(n: int, p: int) -> int:
@@ -472,6 +444,10 @@ class Congruence(ChebotarevSpec):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residues", res)
         object.__setattr__(self, "context", context)
+        # members_in_segment's lookup table, built once and kept out of equality
+        table = np.array(sorted(res), dtype=np.int64)
+        table.setflags(write=False)
+        object.__setattr__(self, "_sorted_residues", table)
 
     def is_member(self, p: int) -> bool:
         if p > 1 and self.modulus % p == 0:
@@ -809,7 +785,7 @@ def members_in_segment(spec: ChebotarevSpec, primes: np.ndarray) -> np.ndarray:
         return primes
     if isinstance(spec, Congruence):
         # residues are coprime to q, so no prime dividing q passes
-        res = np.array(sorted(spec.residues), dtype=np.int64)
+        res = spec._sorted_residues
         r = primes % spec.modulus
         return primes[res.take(np.searchsorted(res, r), mode="clip") == r]
     if isinstance(spec, NewformCongruence):

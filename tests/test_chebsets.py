@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,6 @@ from chebgaps.chebsets import (
     json_number,
     members_in_segment,
     poly_discriminant,
-    represents,
     spec_from_json,
     tau_mod_stream,
 )
@@ -137,6 +137,65 @@ def test_factorization_spec_membership():
     assert not any(quartic.is_member(p) for p in PRIMES_200)
 
 
+def _polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+# (x^2 + 1)(x^3 + 2) and (x^2 + x + 1)(x^4 + 3): reducible, no rational root
+REDUCIBLE_NO_ROOT = [_polymul([1, 0, 1], [2, 0, 0, 1]), _polymul([1, 1, 1], [3, 0, 0, 0, 1])]
+CUBIC, QUARTIC = [-1, -1, 0, 1], [-1, -1, 0, 0, 1]  # perfbench's scan_cubic and scan_quartic
+BIG_CUBIC = [10**23 + 1, 0, 0, 1]  # x^3 + 10^23 + 1
+
+
+def test_irreducibility_vs_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rnd = random.Random(31)
+    cases = [*REDUCIBLE_NO_ROOT, CUBIC, QUARTIC, BIG_CUBIC, [1, 0, 0, 0, 1], [-1, 0, 0, 0, 1],
+             [4, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 0, 1], [-2, 0, 0, 0, 0, 0, 0, 1]]
+    for i in range(100):
+        deg = rnd.randrange(2, 8)
+        split = rnd.randrange(1, deg) if i % 2 else 0  # every other case is a product
+        coeffs = [rnd.randrange(-6, 7) for _ in range(deg - split)] + [1]
+        if split:
+            coeffs = _polymul(coeffs, [rnd.randrange(-6, 7) for _ in range(split)] + [1])
+        cases.append(coeffs)
+    for f in cases:
+        want = sympy.Poly(f[::-1], x).is_irreducible
+        assert chebsets._is_irreducible_q(f) == want, f
+    for f in REDUCIBLE_NO_ROOT:
+        with pytest.raises(ValueError, match="irreducible"):
+            FactorizationType(f, (len(f) - 1,), GaloisContext(6, 2, -23))
+
+
+def test_degree_sets_settle_perfbench_polys_without_roots(monkeypatch):
+    def no_roots(*args, **kwargs):
+        raise AssertionError("the irreducibility test reached the root step")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_roots)
+    for f in (CUBIC, QUARTIC, BIG_CUBIC):
+        assert chebsets._is_irreducible_q(f)
+    FactorizationType(QUARTIC, (4,), GaloisContext(24, 6, -283))
+
+
+def test_unsure_roots_raise_value_error(monkeypatch):
+    x4_plus_1 = [1, 0, 0, 0, 1]  # reducible mod every prime, so the roots are needed
+
+    def diverge(*args, **kwargs):
+        raise mpmath.mp.NoConvergence("no convergence")
+
+    monkeypatch.setattr(mpmath, "polyroots", diverge)
+    with pytest.raises(ValueError, match="no root convergence"):
+        chebsets._is_irreducible_q(x4_plus_1)
+    monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: ([0, 0, 0, 0], mpmath.mpf(1)))
+    with pytest.raises(ValueError, match="root error"):
+        chebsets._is_irreducible_q(x4_plus_1)
+
+
 # -- congruence specs -------------------------------------------------------------
 
 
@@ -150,6 +209,28 @@ def test_congruence_membership():
         Congruence(8, {4}, ctx)  # residue not coprime
     with pytest.raises(ValueError):
         Congruence(8, set(), ctx)
+
+
+def test_congruence_residue_table_built_once(monkeypatch):
+    # the quadratic residues mod 10007: many classes, one sorted table per spec
+    q = 10007
+    spec = Congruence(q, {r * r % q for r in range(1, q)}, GaloisContext(2, 1, q))
+    table = spec._sorted_residues
+    assert table.tolist() == sorted(spec.residues) and not table.flags.writeable
+    assert spec == Congruence(q, spec.residues, GaloisContext(2, 1, q))
+    segments = [np.array(sieve_range(lo, lo + 50_000)) for lo in (2, 50_000, 100_000)]
+    seen = []
+    searchsorted = np.searchsorted
+
+    def spy(a, v, *args, **kwargs):
+        seen.append(a)
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    for seg in segments:
+        got = members_in_segment(spec, seg).tolist()
+        assert got == [p for p in seg.tolist() if spec.is_member(p)]
+    assert len(seen) == 3 and all(a is table for a in seen)
 
 
 def test_all_primes_spec():
@@ -209,6 +290,35 @@ def form_values(a, b, c, box=200):
     x = np.arange(-box, box + 1, dtype=np.int64)[:, None]
     y = x.T
     return set((a * x * x + b * x * y + c * y * y).ravel().tolist())
+
+
+def represents(a: int, b: int, c: int, p: int) -> bool:
+    """Whether a x^2 + b x y + c y^2 = p has an integer solution.
+
+    The form must be positive definite (a > 0, b^2 - 4ac < 0) and primitive.
+    Exhaustive: y is bounded by 4ap/|D|, and for each y the x-equation is a
+    quadratic with integer discriminant 4ap - |D| y^2. The oracle of
+    QuadFormRep.is_member, which decides primes by reduction.
+    """
+    D = b * b - 4 * a * c
+    if a <= 0 or D >= 0:
+        raise ValueError("form must be positive definite (a > 0, b^2 - 4ac < 0)")
+    if math.gcd(math.gcd(a, b), c) != 1:
+        raise ValueError("form must be primitive")
+    if p < 0:
+        raise ValueError("target must be non-negative")
+    absD = -D
+    y = 0
+    while True:
+        disc_x = 4 * a * p - absD * y * y
+        if disc_x < 0:
+            return False
+        s = math.isqrt(disc_x)
+        if s * s == disc_x:
+            for sg in (s, -s):
+                if (-b * y + sg) % (2 * a) == 0:
+                    return True
+        y += 1
 
 
 def test_represents_vs_brute_force():

@@ -82,6 +82,19 @@ def scan_spec_json():
     return Congruence(8, {3}, ctx).to_json()
 
 
+def facttype_json(poly):
+    """A factorization-type spec of the monic poly (low to high), type [deg]."""
+    return {"variant": "factorization_type", "poly": poly, "cycle_type": [len(poly) - 1],
+            "context": {**S3_JSON, "class_size": 2}}
+
+
+def test_scan_huge_constant_term(tmp_path, capsys):
+    # x^3 + 10^23 + 1: irreducibility is decided without factoring f(0)
+    cfg = write_json(tmp_path, "spec.json", facttype_json([10**23 + 1, 0, 0, 1]))
+    assert main(["scan", "--config", cfg, "--x", "1000", "--bound", "4800", "--json"]) == 0
+    assert out_json(capsys)["manifest"]["command"] == "scan"
+
+
 def test_scan_csv_and_stdout(tmp_path, capsys):
     cfg = write_json(tmp_path, "spec.json", scan_spec_json())
     out = str(tmp_path / "scan.csv")
@@ -274,6 +287,11 @@ def test_bad_input_exits_2(tmp_path, capsys):
         big_q = write_json(tmp_path, "spec_big_q.json", big)
         assert main(["scan", "--config", big_q, "--x", "1000", "--bound", "4800"]) == 2
         assert "modulus must be < 2^63" in capsys.readouterr().err
+    # (x^2 + 1)(x^3 + 2) and (x^2 + x + 1)(x^4 + 3) have no rational root
+    for poly in ([2, 0, 2, 1, 0, 1], [3, 3, 3, 0, 1, 1, 1]):
+        reducible = write_json(tmp_path, "spec_reducible.json", facttype_json(poly))
+        assert main(["scan", "--config", reducible, "--x", "1000", "--bound", "4800"]) == 2
+        assert "must be irreducible over Q" in capsys.readouterr().err
     # bounds guards the group order on its own path
     small = write_json(
         tmp_path,
