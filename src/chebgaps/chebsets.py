@@ -534,8 +534,10 @@ class QuadFormRep(ChebotarevSpec):
         object.__setattr__(self, "context", context)
         # a prime is represented by the form iff its prime form lies in the
         # class of the form or of its inverse
-        classes = {_reduce_form(a, b, c), _reduce_form(a, -b, c)}
+        reduced = _reduce_form(a, b, c)
+        classes = {reduced, _reduce_form(a, -b, c)}
         object.__setattr__(self, "_classes", frozenset(classes))
+        object.__setattr__(self, "_reduced", reduced)
 
     @property
     def form_discriminant(self) -> int:
@@ -703,6 +705,14 @@ _BATCH_PRIME_LIMIT = 2**31
 # primes per kernel call, so the (degree, degree, block) work arrays stay
 # small however long the segment is
 _BLOCK = 4096
+# the quadratic-form walk marks at most one segment width of values at a
+# time, building its points _FORM_CHUNK at a time. It is taken where its rows
+# and points number fewer than _LOOP_COST per prime checked: one is_member
+# call costs as much as 300 to 1,600 of them (forms with |D| from 4 to 299,
+# p from 2 to 10^11, on a 2-core Xeon VM)
+_FORM_WINDOW = 1 << 20
+_FORM_CHUNK = 1 << 13
+_LOOP_COST = 200
 
 
 def _residues(value: int, primes: np.ndarray) -> np.ndarray:
@@ -772,14 +782,105 @@ def _frobenius_mask(spec: FactorizationType, primes: np.ndarray) -> np.ndarray:
     return mask & (disc != 0) & (_residues(spec.context.discriminant, primes) != 0)
 
 
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) for int64 n in [0, 2^62): the float root is within one
+    of it, and one step each way makes it exact."""
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
+
+
+def _form_values(spec: QuadFormRep, lo: int, hi: int, budget: float) -> np.ndarray | None:
+    """A mask over [lo, hi) of the integers the form represents, or None when
+    the walk could overflow int64 or costs more than budget rows and points.
+
+    Equivalent forms represent the same integers, so the walk takes the
+    reduced form (a, b, c), |b| <= a <= c, whose rows are fewest. Since
+    4a f(x, y) = u^2 + |D| y^2 with u = 2ax + by, and f(-x, -y) = f(x, y),
+    row y >= 0 holds the values with u^2 in [4a lo - |D| y^2, 4a (hi - 1) -
+    |D| y^2] on both signs of u, and y^2 <= 4a (hi - 1)/|D|. When by = 0
+    mod a, the u < 0 side of a row repeats the values of its u > 0 side.
+    Each row is an interval of x; the points are built in chunks of about
+    _FORM_CHUNK, and every intermediate stays below 3 hi.
+    """
+    a, b, c = spec._reduced
+    absD = 4 * a * c - b * b
+    top = 4 * a * (hi - 1)
+    ymax = math.isqrt(top // absD)
+    if top >= 2**62 or absD >= 2**62:
+        return None
+    if ymax + 1 + math.pi * (hi - lo) / math.sqrt(absD) > budget:
+        return None
+    m = 2 * a
+    y = np.arange(ymax + 1, dtype=np.int64)
+    dy = absD * y * y
+    umax = _isqrt(top - dy)
+    low = np.maximum(4 * a * lo - dy, 0)
+    umin = _isqrt(low)
+    umin += umin * umin < low
+    by = b * y
+    both = by % a != 0
+    # per row interval: first x = ceil((u_first - by) / m), last x = floor((u_last - by) / m)
+    first = np.concatenate((-((by - umin) // m), -((by + umax)[both] // m)))
+    last = np.concatenate(((umax - by) // m, (-umin - by)[both] // m))
+    y = np.concatenate((y, y[both]))
+    count = np.maximum(last - first + 1, 0)
+    rows = np.flatnonzero(count)
+    first, count, by, rest = first[rows], count[rows], b * y[rows], c * y[rows] ** 2 - lo
+    ends = np.cumsum(count)
+    mask = np.zeros(hi - lo, dtype=bool)
+    start = 0
+    while start < len(rows):
+        # a row holds at most sqrt(2^20 / a) + 1 points, so a chunk stays small
+        done = ends[start] - count[start]
+        stop = max(int(np.searchsorted(ends, done + _FORM_CHUNK, "right")), start + 1)
+        n = count[start:stop]
+        before = ends[start:stop] - n - done  # the chunk's points before each row
+        x = np.arange(ends[stop - 1] - done) + np.repeat(first[start:stop] - before, n)
+        v = a * x
+        v += np.repeat(by[start:stop], n)
+        v *= x
+        v += np.repeat(rest[start:stop], n)
+        mask[v] = True
+        start = stop
+    return mask
+
+
+def _form_mask(spec: QuadFormRep, primes: np.ndarray) -> np.ndarray:
+    """is_member over an ascending array of primes. Each window of at most
+    _FORM_WINDOW integers from the next unchecked prime is marked by
+    _form_values when the walk costs less than _LOOP_COST points per prime
+    it checks, else looped over is_member; windows holding no prime are
+    never visited, so a sparse array spanning [N, 2N] costs what its primes
+    do."""
+    mask = np.zeros(len(primes), dtype=bool)
+    i = 0
+    while i < len(primes):
+        lo = int(primes[i])
+        j = int(np.searchsorted(primes, lo + _FORM_WINDOW))
+        hi = int(primes[j - 1]) + 1
+        marked = _form_values(spec, lo, hi, _LOOP_COST * (j - i))
+        if marked is None:
+            mask[i:j] = [spec.is_member(p) for p in primes[i:j].tolist()]
+        else:
+            mask[i:j] = marked[primes[i:j] - lo]
+        i = j
+    # a prime dividing D or the context discriminant is not a member
+    for d in (spec.form_discriminant, spec.context.discriminant):
+        mask &= _residues(d, primes) != 0
+    return mask
+
+
 def members_in_segment(spec: ChebotarevSpec, primes: np.ndarray) -> np.ndarray:
     """Filter an ascending array of primes down to the spec's members.
 
     Congruence and stream specs vectorize. Factorization specs of degree
     <= 5 run the batch Frobenius kernel on the odd primes below 2^31, in
-    blocks of _BLOCK primes; p = 2, p >= 2^31, higher degrees and quadratic
-    forms loop over is_member, which decides a form by reduction in
-    O(log p) steps.
+    blocks of _BLOCK primes; p = 2, p >= 2^31 and higher degrees loop over
+    is_member. Quadratic-form specs mark the form's values window by window
+    (_form_mask), and loop over is_member, which decides a form by
+    reduction in O(log p) steps, where that walk would cost more.
     """
     if len(primes) == 0:
         return primes
@@ -802,6 +903,8 @@ def members_in_segment(spec: ChebotarevSpec, primes: np.ndarray) -> np.ndarray:
         for i in [*range(lo), *range(hi, len(primes))]:
             mask[i] = spec.is_member(int(primes[i]))
         return primes[mask]
+    if isinstance(spec, QuadFormRep):
+        return primes[_form_mask(spec, primes)]
     return np.array([p for p in primes.tolist() if spec.is_member(p)], dtype=np.int64)
 
 

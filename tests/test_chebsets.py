@@ -296,7 +296,7 @@ def represents(a: int, b: int, c: int, p: int) -> bool:
     """Whether a x^2 + b x y + c y^2 = p has an integer solution.
 
     The form must be positive definite (a > 0, b^2 - 4ac < 0) and primitive.
-    Exhaustive: y is bounded by 4ap/|D|, and for each y the x-equation is a
+    Exhaustive: y^2 <= 4ap/|D|, and for each y the x-equation is a
     quadratic with integer discriminant 4ap - |D| y^2. The oracle of
     QuadFormRep.is_member, which decides primes by reduction.
     """
@@ -359,6 +359,93 @@ def test_quad_form_reduction_vs_represents():
         for p in sieve_range(2, 3000):
             if D % p:
                 assert spec.is_member(p) == represents(a, b, c, p), (a, b, c, p)
+
+
+# b < 0, odd and even D, D = -108, forms of one class and of inverse classes,
+# and non-reduced forms (3, 4, 2), (5, 13, 9) and (6, 1, 1), which reduce to
+# (1, 0, 2), (1, 1, 3) and (1, 1, 6)
+WALK_FORMS = [(1, 0, 1), (1, 0, 5), (2, 2, 3), (1, 1, 6), (2, 1, 3), (2, -1, 3),
+              (1, 0, 14), (2, 0, 7), (3, 2, 5), (1, 0, 27), (1, 1, 1), (4, -3, 5),
+              (6, 5, 9), (7, -3, 11), (3, 4, 2), (5, 13, 9), (6, 1, 1)]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Whether each window of members_in_segment took the form walk."""
+    seen, form_values = [], chebsets._form_values
+
+    def recording(*args):
+        marked = form_values(*args)
+        seen.append(marked is not None)
+        return marked
+
+    monkeypatch.setattr(chebsets, "_form_values", recording)
+    return seen
+
+
+def test_form_walk_vs_represents(walks):
+    # from 2, so p = 2, p = a and the primes dividing D or the context
+    # discriminant 13 are all met
+    seg = np.array(sieve_range(2, 5000))
+    firsts = []
+    for a, b, c in WALK_FORMS:
+        spec = QuadFormRep(a, b, c, GaloisContext(1, 1, 13))
+        D = spec.form_discriminant
+        got = members_in_segment(spec, seg).tolist()
+        want = [p for p in seg.tolist() if D % p and 13 % p and represents(a, b, c, p)]
+        assert got == want == [p for p in seg.tolist() if spec.is_member(p)], (a, b, c)
+        firsts.append(got[0])
+    assert walks == [True] * len(WALK_FORMS)
+    assert {2, 3, 5, 7} <= set(firsts)  # p = a = 2 for (2, 1, 3), p = a = 7 for (7, -3, 11)
+
+
+def test_form_walk_window_edges(walks, monkeypatch):
+    # windows of 2^14 integers above 10^8, and the default window across the
+    # segment edge 2^20
+    monkeypatch.setattr(chebsets, "_FORM_WINDOW", 1 << 14)
+    high = np.array(sieve_range(10**8, 10**8 + 30_000))
+    edge = np.array(sieve_range(2**20 - 3000, 2**20 + 3000))
+    for a, b, c in WALK_FORMS:
+        spec = QuadFormRep(a, b, c, GaloisContext(1, 1, 1))
+        for seg in (high, edge):
+            got = members_in_segment(spec, seg).tolist()
+            assert got and got == [p for p in seg.tolist() if spec.is_member(p)], (a, b, c)
+    assert walks == [True, True, True] * len(WALK_FORMS)
+
+
+def test_form_walk_sparse_sieve_array(walks):
+    # the distinct prime shifts n + h, n = 11 mod 30 in [N, 2N), h in {0, 2, 6}:
+    # few primes spread over the whole of [N, 2N + 6]
+    N = 2 * 10**5
+    shifts = {n + h for n in range(N + (11 - N) % 30, 2 * N, 30) for h in (0, 2, 6)}
+    seg = np.array([p for p in sieve_range(N, 2 * N + 7) if p in shifts])
+    for a, b, c in [(2, 1, 3), (1, 0, 27), (3, 4, 2), (7, -3, 11)]:
+        spec = QuadFormRep(a, b, c, GaloisContext(1, 1, -23))
+        got = members_in_segment(spec, seg).tolist()
+        assert got == [p for p in seg.tolist() if spec.is_member(p)], (a, b, c)
+    assert walks == [True] * 4
+
+
+def test_form_walk_falls_back(walks):
+    # a window whose rows or int64 values the walk cannot afford loops over
+    # is_member: the prime 10^15 + 37 after 3, the primes just above 10^15,
+    # and coefficients of 2^62; a context discriminant above 2^63 still
+    # excludes its primes 2 and 3 on the walk, though the form represents them
+    huge = 3 * 5 * 2**64
+    cases = [
+        ((2, 1, 3), 1, [3, 10**15 + 37], [True, False]),
+        ((1, 0, 1), 1, [10**15 + 37, 10**15 + 91, 10**15 + 159, 10**15 + 223], [False]),
+        ((1, 1, 2**62), 1, sieve_range(2, 3000), [False]),
+        ((2**62 + 1, 1, 2**62 + 1), 1, sieve_range(2, 3000), [False]),
+        ((2, 1, 3), huge, sieve_range(2, 3000), [True]),
+    ]
+    for (a, b, c), disc, primes, route in cases:
+        spec = QuadFormRep(a, b, c, GaloisContext(1, 1, disc))
+        want = [p for p in primes if spec.is_member(p)]
+        walks.clear()
+        assert members_in_segment(spec, np.array(primes, dtype=np.int64)).tolist() == want
+        assert walks == route, (a, b, c)
+    assert represents(2, 1, 3, 2) and represents(2, 1, 3, 3) and want[0] == 13
 
 
 def test_reduce_form_is_a_class_invariant():

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
+import chebgaps.chebsets as chebsets
 import chebgaps.gapscan as gapscan
-from chebgaps.chebsets import Congruence, GaloisContext, all_primes_spec
+from chebgaps.chebsets import Congruence, GaloisContext, QuadFormRep, all_primes_spec
 from chebgaps.cli import main
 from chebgaps.gapscan import (
     GapReport,
@@ -216,6 +217,30 @@ def test_scan_same_report_by_either_sieve(monkeypatch):
         assert got == want, spec.spec_id
     mod3 = scan(ROUTE_SPECS[1][0], x, 4800)
     assert (mod3.min_gap, mod3.min_gap_pair) == (3, (2, 5))
+
+
+def test_quad_form_scan_same_report_by_walk_or_loop(monkeypatch):
+    # the scan's segments reach the form walk whole or split across 2 and 3
+    # ranges, and go prime by prime through is_member when the walk is refused
+    spec = QuadFormRep(2, 1, 3, GaloisContext(6, 2, -23))
+    x = 1_200_000  # two segments of 2^20
+    pooled = scan(spec, x, 4800, threads=2).to_json()  # a real pool pickles the spec
+    walked, form_values = [], chebsets._form_values
+
+    def recording(*args):
+        marked = form_values(*args)
+        walked.append(marked is not None)
+        return marked
+
+    monkeypatch.setattr(gapscan, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    monkeypatch.setattr(chebsets, "_form_values", recording)
+    got = [scan(spec, x, 4800, threads=t).to_json() for t in (1, 2, 3)]
+    assert got == [pooled] * 3
+    assert walked == [True] * 7  # one walk per segment: 2 at threads 1, then 2 and 3 ranges
+    monkeypatch.setattr(chebsets, "_form_values", lambda *args: None)
+    assert scan(spec, x, 4800).to_json() == pooled
+    assert pooled["prime_count"] == 30_953 and pooled["min_gap_pair"] == [2, 3]
 
 
 def test_scan_many_classes_of_a_large_modulus_take_odd_route():

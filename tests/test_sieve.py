@@ -526,17 +526,18 @@ def test_s_functional_builds_one_prime_table(monkeypatch):
 
 
 def test_s_functional_tests_each_shift_once(monkeypatch):
-    """The quadratic-form kernel asks is_member once per prime, so the
-    calls show that each distinct prime shift n + h_m is decided exactly
-    once, all inside weight_table, for both S2 and the window list."""
+    """The primes handed to the membership kernels show that each distinct
+    prime shift n + h_m is decided exactly once, all inside weight_table,
+    for both S2 and the window list. They are counted at the kernel's
+    entry, because the quadratic-form walk calls no is_member."""
     cfg = k3_config()
     spec = QuadFormRep(2, 1, 3, ONE)
     asked, spans = [], []
-    is_member, real_table = type(spec).is_member, sieve.weight_table
+    real_members, real_table = sieve.members_in_segment, sieve.weight_table
 
-    def counting_member(self, p):
-        asked.append(p)
-        return is_member(self, p)
+    def counting_members(spec, primes):
+        asked.extend(primes.tolist())
+        return real_members(spec, primes)
 
     def counting_table(*args):
         spans.append(len(asked))
@@ -544,7 +545,7 @@ def test_s_functional_tests_each_shift_once(monkeypatch):
         spans.append(len(asked))
         return table
 
-    monkeypatch.setattr(type(spec), "is_member", counting_member)
+    monkeypatch.setattr(sieve, "members_in_segment", counting_members)
     monkeypatch.setattr(sieve, "weight_table", counting_table)
     res = s_functional(cfg, spec, 1)
     ns = range(cfg.n_start + (cfg.u0 - cfg.n_start) % cfg.u_modulus, 2 * cfg.n_start,
