@@ -430,7 +430,7 @@ def test_form_walk_falls_back(walks):
     # a window whose rows or int64 values the walk cannot afford loops over
     # is_member: the prime 10^15 + 37 after 3, the primes just above 10^15,
     # and coefficients of 2^62; a context discriminant above 2^63 still
-    # excludes its primes 2 and 3 on the walk, though the form represents them
+    # excludes its primes 2, 3 and 5 on the walk, though the form represents 2 and 3
     huge = 3 * 5 * 2**64
     cases = [
         ((2, 1, 3), 1, [3, 10**15 + 37], [True, False]),
