@@ -161,9 +161,11 @@ def cmd_sieve(args) -> int:
         raise ValueError("sieve config needs a 'spec' entry")
     manifest = _manifest(args, "sieve")
     payload = run_to_json(cfg, spec, rho=args.rho)
+    ratio = payload["ratio_observed"]  # None when S1 = 0
+    observed = "undefined (S1 = 0)" if ratio is None else f"{ratio:.6f}"
     table = (
         f"S1 = {payload['s1']}, S2 = {payload['s2']}\n"
-        f"observed S2/S1 = {payload['ratio_observed']:.6f}, "
+        f"observed S2/S1 = {observed}, "
         f"predicted = {payload['ratio_predicted']:.6f}\n"
         f"S(rho={args.rho}) = {payload['s_value']}, "
         f"windows with >= floor(rho+1) members: {len(payload['windows'])}"
@@ -247,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if config:
             sp.add_argument("--config", required=True, help="input JSON path")
         sp.add_argument("--out", help="write JSON/CSV output here")
-        sp.add_argument("--seed", type=int, default=0, help="seed for stochastic checks")
         sp.add_argument("--json", action="store_true", help="print JSON instead of a table")
 
     sp = sub.add_parser("bounds", help="run the explicit-constant proof chain on a context")
@@ -287,6 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-paper", help="run every acceptance criterion")
     common(sp)
     sp.add_argument("--quick", action="store_true", help="skip the long optimizer run")
+    sp.add_argument("--seed", type=int, default=0, help="seed for stochastic checks")
     sp.set_defaults(func=cmd_verify_paper)
 
     return p

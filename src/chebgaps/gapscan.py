@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -125,10 +126,6 @@ def _scan_range(spec: ChebotarevSpec, lo: int, hi: int, bound: int) -> _Accum:
     return acc
 
 
-def _scan_worker(args):
-    return _scan_range(*args)
-
-
 def scan(
     spec: ChebotarevSpec, x_limit: int, bound: int, threads: int = 1
 ) -> GapReport:
@@ -151,13 +148,11 @@ def scan(
         acc = _scan_range(spec, 2, x_limit + 1, bound)
     else:
         step = math.ceil((x_limit - 1) / workers)
-        jobs = [
-            (spec, lo, min(lo + step, x_limit + 1), bound)
-            for lo in range(2, x_limit + 1, step)
-        ]
+        los = range(2, x_limit + 1, step)
+        his = [min(lo + step, x_limit + 1) for lo in los]
         acc = _Accum()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_worker, jobs):
+            for part in pool.map(_scan_range, repeat(spec), los, his, repeat(bound)):
                 if part.count == 0:
                     continue
                 acc.feed([part.first], bound)  # stitches the boundary gap

@@ -185,13 +185,6 @@ class PrimeTable:
         return int(np.searchsorted(self.primes, x, side="right"))
 
 
-def prime_count(x: int) -> int:
-    """pi(x), the number of primes <= x."""
-    if x < 2:
-        return 0
-    return PrimeTable(x).pi(x)
-
-
 def nth_prime_upper(n: int) -> int:
     """An upper bound for q_n good enough to size a sieve."""
     if n < 6:

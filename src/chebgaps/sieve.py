@@ -70,8 +70,9 @@ def default_d0(n: int) -> float:
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """The inputs of a sieve run. W, U, u0 and R are derived from them in
-    __post_init__, once, and read as fields.
+    """The inputs of a sieve run. D0 defaults to log log log N and F to
+    1 - P1; W, U, u0 and R are derived from the inputs in __post_init__,
+    once, and read as fields.
 
     u0 is built prime by prime: for each p | U take the least residue u_p
     with u_p + h_i nonzero mod p for every i (admissibility guarantees one
@@ -82,16 +83,21 @@ class SieveConfig:
     tuple: Tuple
     theta: float
     epsilon: float
-    d0: float
-    f: SimplexPolynomial
     context: GaloisContext
+    d0: float | None = None
+    f: SimplexPolynomial | None = None
     w_modulus: int = field(init=False)
     u_modulus: int = field(init=False)
     u0: int = field(init=False)
     r_limit: float = field(init=False)
 
     def __post_init__(self):
-        n, tup, d0 = self.n_start, self.tuple, self.d0
+        n, tup = self.n_start, self.tuple
+        d0 = default_d0(n) if self.d0 is None else float(self.d0)
+        object.__setattr__(self, "d0", d0)
+        if self.f is None:
+            one_minus_p1 = SimplexPolynomial.from_symmetric(self.k, {(): 1, (1,): -1})
+            object.__setattr__(self, "f", one_minus_p1)
         if n < 2:
             raise ValueError("n_start must be >= 2")
         if not 0 < self.theta < 1:
@@ -144,26 +150,6 @@ class SieveConfig:
             "f": [[list(part), str(c)] for part, c in self.f.coeffs],
             "context": self.context.to_json(),
         }
-
-
-def build_config(
-    n_start: int,
-    k: int,
-    tup: Tuple,
-    context: GaloisContext,
-    theta: float,
-    epsilon: float,
-    f: SimplexPolynomial | None = None,
-    d0_override: float | None = None,
-) -> SieveConfig:
-    """A SieveConfig with the default D0 = log log log N and F = 1 - P1
-    filled in; k must be the tuple's length."""
-    if tup.k != k:
-        raise ValueError("k disagrees with the tuple length")
-    d0 = default_d0(n_start) if d0_override is None else float(d0_override)
-    if f is None:
-        f = SimplexPolynomial.from_symmetric(k, {(): 1, (1,): -1})  # 1 - P1
-    return SieveConfig(n_start, tup, theta, epsilon, d0, f, context)
 
 
 def tuple_determinant(tup: Tuple) -> int:
@@ -462,16 +448,14 @@ def config_from_json(d: dict) -> tuple[SieveConfig, ChebotarevSpec | None]:
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise ValueError(f"'f' entry {item!r} is not a finite rational: {exc}") from None
         f = SimplexPolynomial.from_symmetric(k, coeffs)
-    cfg = build_config(
-        n_start=json_number(d, "n_start"),
-        k=k,
-        tup=Tuple(json_int_list(d, "tuple")),
-        context=ctx,
-        theta=json_number(d, "theta", float),
-        epsilon=json_number(d, "epsilon", float),
-        f=f,
-        d0_override=None if d.get("d0") is None else json_number(d, "d0", float),
-    )
+    n_start = json_number(d, "n_start")
+    tup = Tuple(json_int_list(d, "tuple"))
+    theta = json_number(d, "theta", float)
+    epsilon = json_number(d, "epsilon", float)
+    d0 = None if d.get("d0") is None else json_number(d, "d0", float)
+    if tup.k != k:
+        raise ValueError("k disagrees with the tuple length")
+    cfg = SieveConfig(n_start, tup, theta, epsilon, ctx, d0, f)
     spec = spec_from_json(d["spec"]) if d.get("spec") is not None else None
     return cfg, spec
 

@@ -29,7 +29,7 @@ from .chebsets import (
 from .gapscan import scan, tau_gap_scan
 from .primes import iter_prime_segments, verify_dusart
 from .sieve import (
-    build_config,
+    SieveConfig,
     lambda_table,
     lambda_weight,
     predicted_terms,
@@ -276,15 +276,7 @@ def criterion_7_m105() -> CriterionResult:
 def demo_config():
     ctx = GaloisContext(2, 1, 1, abelian_conductor=4)
     spec = Congruence(4, {1}, ctx)
-    cfg = build_config(
-        n_start=10**5,
-        k=2,
-        tup=Tuple([0, 4]),
-        context=ctx,
-        theta=0.4,
-        epsilon=0.05,
-        d0_override=5,
-    )
+    cfg = SieveConfig(10**5, Tuple([0, 4]), theta=0.4, epsilon=0.05, context=ctx, d0=5)
     return cfg, spec
 
 

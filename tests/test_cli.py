@@ -8,7 +8,7 @@ from chebgaps.admissible import Tuple
 from chebgaps.chebsets import Congruence, GaloisContext, all_primes_spec, spec_from_json
 from chebgaps.cli import main
 from chebgaps.gapscan import scan, write_scan_csv
-from chebgaps.sieve import build_config, sum_s1, weight_table
+from chebgaps.sieve import SieveConfig, sum_s1, weight_table
 
 S3_JSON = {"group_order": 6, "class_size": 6, "discriminant": 1, "abelian_conductor": None}
 MOD8_ABELIAN = {"group_order": 2, "class_size": 1, "discriminant": 1, "abelian_conductor": 8}
@@ -144,15 +144,8 @@ def test_scan_json_stdout(tmp_path, capsys):
 
 
 def sieve_config_json():
-    cfg = build_config(
-        n_start=1000,
-        k=2,
-        tup=Tuple([0, 2]),
-        context=GaloisContext(1, 1, 1, abelian_conductor=1),
-        theta=0.9,
-        epsilon=0.05,
-        d0_override=3,
-    )
+    ctx = GaloisContext(1, 1, 1, abelian_conductor=1)
+    cfg = SieveConfig(1000, Tuple([0, 2]), theta=0.9, epsilon=0.05, context=ctx, d0=3)
     d = cfg.to_json()
     d["spec"] = all_primes_spec().to_json()
     return cfg, d
@@ -166,6 +159,18 @@ def test_sieve_run(tmp_path, capsys):
     assert Fraction(payload["s1"]) == sum_s1(weight_table(cfg, all_primes_spec()))
     assert Fraction(payload["s_value"]) > 0
     assert payload["windows"]
+
+
+def test_sieve_zero_s1(tmp_path, capsys):
+    """F = t1 t2 vanishes on the whole support, since every support vector
+    at R ~ 15.8 has a component 1, so S1 = 0 and the ratio is undefined."""
+    _, d = sieve_config_json()
+    path = write_json(tmp_path, "sieve.json", {**d, "f": [[[1, 1], "1"]]})
+    assert main(["sieve", "--config", path, "--json"]) == 0
+    payload = out_json(capsys)
+    assert payload["s1"] == "0" and payload["ratio_observed"] is None
+    assert main(["sieve", "--config", path]) == 0
+    assert "observed S2/S1 = undefined (S1 = 0)" in capsys.readouterr().out
 
 
 def test_sieve_requires_spec(tmp_path, capsys):
@@ -245,6 +250,24 @@ def test_verify_paper_quick(capsys, monkeypatch, quick_results):
     assert sum(1 for c in criteria if c["passed"]) == 11
     assert criteria[8]["passed"] is False
     assert "FAILED criteria: 9" in payload["summary"]
+
+
+def test_seed_only_on_verify_paper(tmp_path, capsys, monkeypatch, quick_results):
+    cfg = write_json(tmp_path, "spec.json", scan_spec_json())
+    for argv in (["scan", "--config", cfg, "--x", "1000", "--bound", "4800"],
+                 ["sieve", "--config", cfg], ["mk", "2", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "3"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+    def cached(quick, seed):
+        assert seed == 3
+        return quick_results
+
+    monkeypatch.setattr(cli, "run_all", cached)
+    assert main(["verify-paper", "--quick", "--seed", "3", "--json"]) == 1
+    assert out_json(capsys)["manifest"]["seed"] == 3
 
 
 # -- error handling -----------------------------------------------------------------
@@ -341,6 +364,9 @@ def test_bad_input_exits_2(tmp_path, capsys):
     frac_tuple = write_json(tmp_path, "sieve_frac_tuple.json", {**d, "tuple": [0, 4.5]})
     assert main(["sieve", "--config", frac_tuple]) == 2
     assert "each 'tuple' entry must be a number" in capsys.readouterr().err
+    k3 = write_json(tmp_path, "sieve_k3.json", {**d, "k": 3})
+    assert main(["sieve", "--config", k3]) == 2
+    assert "k disagrees with the tuple length" in capsys.readouterr().err
     # d0 = 40 makes U > 2N: no n = u0 mod U in [N, 2N), so S1 would be 0
     empty = write_json(tmp_path, "sieve_empty.json", {**d, "d0": 40})
     for extra in ([], ["--json"]):

@@ -91,31 +91,35 @@ def test_scan_parallel_matches_sequential():
     assert par == seq
 
 
+class InProcessPool:
+    """ProcessPoolExecutor run in this process, so no worker is started.
+    Each pool records its max_workers and how many calls it mapped, and is
+    appended to `made`."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers, self.calls = max_workers, 0
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        results = list(map(fn, *iterables))
+        self.calls += len(results)
+        return results
+
+
 def test_scan_pool_capped_at_cpu_count(monkeypatch):
-    # an in-process stand-in for the pool, so no worker is ever started
-    seen = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            seen.append(len(jobs))
-            return map(fn, jobs)
-
-    monkeypatch.setattr(gapscan, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(gapscan, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(InProcessPool, "made", [])
     par = scan(mod8_spec(), 10**4, 4800, threads=1000)
-    workers, ranges = seen
-    assert workers == 4
-    assert ranges == workers
+    assert [(pool.max_workers, pool.calls) for pool in InProcessPool.made] == [(4, 4)]
     assert par == scan(mod8_spec(), 10**4, 4800)
 
 
@@ -155,22 +159,6 @@ def test_feed_matches_member_loop(monkeypatch):
         assert accum_state(acc) == want
         assert all(type(v) is int for v in (acc.first, acc.prev, acc.min_gap, *acc.min_pair))
         assert all(type(g) is int and type(c) is int for g, c in acc.hist.items())
-
-
-class InProcessPool:
-    """ProcessPoolExecutor's map, run in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
 
 
 def test_parallel_stitch_matches_member_loop(monkeypatch):

@@ -11,7 +11,6 @@ from chebgaps.primes import (
     _small_sieve,
     iter_prime_segments,
     nth_prime_upper,
-    prime_count,
     primorial_below,
     sieve_range,
     sieve_cost,
@@ -207,7 +206,7 @@ def test_nth_prime_and_upper_bound():
     oracle = trial_division_primes(2, 10**4)
     for n in (1, 2, 6, 25, 100, 500):
         assert oracle[n - 1] <= nth_prime_upper(n)
-    assert prime_count(10**6) == 78498
+    assert PrimeTable(10**6).pi(10**6) == 78498
 
 
 def test_primorial():

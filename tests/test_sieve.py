@@ -19,7 +19,7 @@ from chebgaps.chebsets import (
 )
 from chebgaps.primes import PrimeTable
 from chebgaps.sieve import (
-    build_config,
+    SieveConfig,
     config_from_json,
     default_d0,
     lambda_table,
@@ -41,15 +41,7 @@ ALL_PRIMES = GaloisContext(1, 1, 1, abelian_conductor=1)
 def small_config():
     """N = 1000, theta = 0.9, D0 = 3: R ~ 15.85, so lambda has genuine
     off-diagonal support and nontrivial fractions."""
-    return build_config(
-        n_start=1000,
-        k=2,
-        tup=Tuple([0, 2]),
-        context=ALL_PRIMES,
-        theta=0.9,
-        epsilon=0.05,
-        d0_override=3,
-    )
+    return SieveConfig(1000, Tuple([0, 2]), theta=0.9, epsilon=0.05, context=ALL_PRIMES, d0=3)
 
 
 def k3_configs():
@@ -57,7 +49,7 @@ def k3_configs():
     U = 6, and W = 2, where d_i = 15 is a composite support divisor (19, 16
     and 31 support vectors)."""
     return [
-        build_config(2000, 3, Tuple([0, 2, 6]), ctx, 0.9, 0.05, d0_override=d0)
+        SieveConfig(2000, Tuple([0, 2, 6]), 0.9, 0.05, ctx, d0)
         for ctx, d0 in [(ALL_PRIMES, 3), (GaloisContext(2, 1, 5, abelian_conductor=5), 5),
                         (ALL_PRIMES, 2)]
     ]
@@ -174,10 +166,14 @@ def test_default_d0():
     assert default_d0(10**9) == pytest.approx(math.log(math.log(math.log(10**9))))
     with pytest.raises(ValueError):
         default_d0(16)
+    # a config without d0 or F takes log log log N and 1 - P1
+    cfg = SieveConfig(10**9, Tuple([0, 4]), 0.4, 0.05, ALL_PRIMES)
+    assert cfg.d0 == default_d0(10**9)
+    assert cfg.f == SimplexPolynomial.from_symmetric(2, {(): 1, (1,): -1})
 
 
 def test_build_config_moduli():
-    cfg = build_config(10**5, 2, Tuple([0, 4]), ALL_PRIMES, 0.4, 0.05, d0_override=5)
+    cfg = SieveConfig(10**5, Tuple([0, 4]), 0.4, 0.05, ALL_PRIMES, 5)
     assert cfg.w_modulus == 30
     assert cfg.u_modulus == 30
     assert cfg.u0 == 7
@@ -185,34 +181,35 @@ def test_build_config_moduli():
     prod = (cfg.u0 + 0) * (cfg.u0 + 4)
     assert math.gcd(prod, cfg.u_modulus) == 1
     # three-element tuple: a valid u0 still exists
-    cfg3 = build_config(10**5, 3, Tuple([0, 4, 6]), ALL_PRIMES, 0.4, 0.05, d0_override=5)
+    cfg3 = SieveConfig(10**5, Tuple([0, 4, 6]), 0.4, 0.05, ALL_PRIMES, 5)
     prod = math.prod(cfg3.u0 + h for h in cfg3.tuple)
     assert math.gcd(prod, cfg3.u_modulus) == 1
 
 
 def test_build_config_discriminant_division():
     ctx = GaloisContext(6, 2, 6)
-    cfg = build_config(10**5, 2, Tuple([0, 4]), ctx, 0.4, 0.05, d0_override=5)
+    cfg = SieveConfig(10**5, Tuple([0, 4]), 0.4, 0.05, ctx, 5)
     assert cfg.w_modulus == 30
     assert cfg.u_modulus == 5  # 30 / rad(6)
     # a discriminant prime above D0 cannot be absorbed into W
     with pytest.raises(ValueError):
-        build_config(10**5, 2, Tuple([0, 4]), GaloisContext(6, 2, 7), 0.4, 0.05, d0_override=5)
+        SieveConfig(10**5, Tuple([0, 4]), 0.4, 0.05, GaloisContext(6, 2, 7), 5)
 
 
 def test_build_config_rejections():
     with pytest.raises(ValueError):
-        build_config(10**5, 2, Tuple([0, 1]), ALL_PRIMES, 0.4, 0.05, d0_override=5)
+        SieveConfig(10**5, Tuple([0, 1]), 0.4, 0.05, ALL_PRIMES, 5)
     with pytest.raises(ValueError):
-        build_config(10**5, 2, Tuple([0, 4]), ALL_PRIMES, 1.2, 0.05, d0_override=5)
+        SieveConfig(10**5, Tuple([0, 4]), 1.2, 0.05, ALL_PRIMES, 5)
     with pytest.raises(ValueError):
-        build_config(10**5, 2, Tuple([0, 4]), ALL_PRIMES, 0.4, 0.3, d0_override=5)
+        SieveConfig(10**5, Tuple([0, 4]), 0.4, 0.3, ALL_PRIMES, 5)
     with pytest.raises(ValueError):
-        build_config(10**5, 2, Tuple([0, 4]), ALL_PRIMES, 0.4, 0.0, d0_override=5)
+        SieveConfig(10**5, Tuple([0, 4]), 0.4, 0.0, ALL_PRIMES, 5)
     with pytest.raises(ValueError):
-        build_config(1, 2, Tuple([0, 4]), ALL_PRIMES, 0.4, 0.05, d0_override=5)
-    with pytest.raises(ValueError):
-        build_config(10**5, 3, Tuple([0, 4]), ALL_PRIMES, 0.4, 0.05, d0_override=5)
+        SieveConfig(1, Tuple([0, 4]), 0.4, 0.05, ALL_PRIMES, 5)
+    with pytest.raises(ValueError, match="k-simplex"):
+        SieveConfig(10**5, Tuple([0, 4]), 0.4, 0.05, ALL_PRIMES, 5,
+                    SimplexPolynomial.from_symmetric(3, {(): 1}))
 
 
 def test_tuple_determinant():
@@ -305,7 +302,7 @@ def test_sums_match_brute_force():
 
 
 def k3_config():
-    return build_config(2000, 3, Tuple([0, 2, 6]), ALL_PRIMES, 0.9, 0.05, d0_override=3)
+    return SieveConfig(2000, Tuple([0, 2, 6]), 0.9, 0.05, ALL_PRIMES, 3)
 
 
 # one spec per membership kernel; tau = 0 mod 691 has no prime in range
@@ -405,17 +402,17 @@ ORACLE_CONFIGS = {
     "wide": lambda: _benchmark_config("wide"),
     # R ~ 372: 70 sieving primes, 140 key bits in three words
     "three_words": lambda: (
-        build_config(2 * 10**5, 2, Tuple([0, 2]), ALL_PRIMES, 0.99, 0.01, d0_override=5),
+        SieveConfig(2 * 10**5, Tuple([0, 2]), 0.99, 0.01, ALL_PRIMES, 5),
         all_primes_spec(),
     ),
     # W = 30, U = 6
     "u_below_w": lambda: (
-        build_config(2000, 3, Tuple([0, 2, 6]), MOD5, 0.9, 0.05, d0_override=5),
+        SieveConfig(2000, Tuple([0, 2, 6]), 0.9, 0.05, MOD5, 5),
         Congruence(5, {1, 4}, MOD5),
     ),
     # R ~ 5.6 with 2, 3 and 5 in W: no sieving primes
     "no_sieving": lambda: (
-        build_config(10**5, 2, Tuple([0, 4]), ALL_PRIMES, 0.4, 0.05, d0_override=5),
+        SieveConfig(10**5, Tuple([0, 4]), 0.4, 0.05, ALL_PRIMES, 5),
         all_primes_spec(),
     ),
 }
@@ -451,15 +448,14 @@ def test_pattern_counts_on_benchmark_configs():
 
 def test_quadratic_scaling():
     cfg = small_config()
-    scaled = build_config(
+    scaled = SieveConfig(
         1000,
-        2,
         Tuple([0, 2]),
-        ALL_PRIMES,
         0.9,
         0.05,
+        ALL_PRIMES,
+        d0=3,
         f=SimplexPolynomial.from_symmetric(2, {lam: 3 * c for lam, c in cfg.f.coeffs}),
-        d0_override=3,
     )
     spec = all_primes_spec()
     table, scaled_table = weight_table(cfg, spec), weight_table(scaled, spec)
