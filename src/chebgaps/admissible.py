@@ -32,6 +32,8 @@ class Tuple:
             raise ValueError("tuple must be non-empty")
         if len(set(elems)) != len(elems):
             raise ValueError("tuple elements must be distinct")
+        if elems[-1] - elems[0] >= 2**63:
+            raise ValueError("tuple diameter must be < 2^63")
         object.__setattr__(self, "elements", elems)
 
     @property
@@ -67,9 +69,11 @@ def is_admissible(t: Tuple) -> bool:
     """True when no prime p <= k has all residue classes hit by t.
 
     Primes p > k cannot be covered by k residues, so they never need checking.
+    The check runs on h - h_1, which fits int64 and is admissible exactly
+    when t is.
     """
     k = t.k
-    elems = np.asarray(t.elements, dtype=np.int64)
+    elems = np.asarray(t.normalized, dtype=np.int64)
     for p in sieve_range(2, k + 1) if k >= 2 else []:
         counts = np.bincount(elems % p, minlength=p)
         if not (counts == 0).any():
@@ -104,13 +108,6 @@ class DiameterReport:
     k_hi: int
     first_failure: int | None
     worst_ratio: float  # max over k of diameter / (1.6 k log k)
-
-    def __str__(self) -> str:
-        status = "ok" if self.ok else f"FAIL at k={self.first_failure}"
-        return (
-            f"diameter bound on [{self.k_lo}, {self.k_hi}]: "
-            f"worst ratio {self.worst_ratio:.4f}, {status}"
-        )
 
 
 def verify_diameter_bound(k_lo: int, k_hi: int) -> DiameterReport:

@@ -683,14 +683,6 @@ def spec_from_json(d: dict) -> ChebotarevSpec:
     raise ValueError(f"unknown spec variant: {variant!r}")
 
 
-ALL_PRIMES_CONTEXT = GaloisContext(1, 1, 1, abelian_conductor=1)
-
-
-def all_primes_spec() -> Congruence:
-    """The full set of primes as a degenerate congruence spec (q = 1)."""
-    return Congruence(1, {0}, ALL_PRIMES_CONTEXT)
-
-
 # ---------------------------------------------------------------------------
 # membership over prime arrays, densities
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ import numpy as np
 from .chebsets import (
     ChebotarevSpec,
     Congruence,
-    GaloisContext,
-    NewformCongruence,
     members_in_segment,
 )
 from .primes import iter_prime_segments, sieve_cost
@@ -176,13 +174,6 @@ def scan(
         bound_used=bound,
         histogram=acc.hist,
     )
-
-
-def tau_gap_scan(d: int, x_limit: int) -> GapReport:
-    """Gaps between primes whose Ramanujan tau vanishes mod d, counting the
-    pairs within GAP_CAP."""
-    spec = NewformCongruence(d, 0, 1, GaloisContext(1, 1, 1))
-    return scan(spec, x_limit, GAP_CAP)
 
 
 # ---------------------------------------------------------------------------

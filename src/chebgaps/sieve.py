@@ -231,17 +231,6 @@ def lambda_table(cfg: SieveConfig) -> dict[tuple[int, ...], Fraction]:
     return {d_vec: math.prod(mobius(d) * d for d in d_vec) * s for d_vec, s in sums.items()}
 
 
-def lambda_weight(d_vec, cfg: SieveConfig) -> Fraction:
-    """Exact lambda for one divisor vector; 0 off the support. It builds the
-    whole lambda_table, so a caller that needs many values takes the table."""
-    d_vec = tuple(int(d) for d in d_vec)
-    if len(d_vec) != cfg.k:
-        raise ValueError(f"need a {cfg.k}-vector")
-    if any(d < 1 for d in d_vec):
-        raise ValueError("divisors must be positive")
-    return lambda_table(cfg).get(d_vec, Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # weight table and the sums
 # ---------------------------------------------------------------------------

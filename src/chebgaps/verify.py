@@ -2,9 +2,11 @@
 
 Each criterion re-derives its target through an independent route where the
 claim is numeric (trial-division enumerators, Monte Carlo, divisor-sum sigma
-oracles) and compares against the package's implementation. Results carry a
-pass flag and a human-readable detail line; nothing raises on failure, so a
-red criterion shows up as data rather than a stack trace.
+oracles) and compares against the package's implementation. A criterion
+returns (passed, detail), a pass flag and a human-readable detail line;
+nothing raises on failure, so a red criterion shows up as data rather than a
+stack trace. CRITERIA is the one table of (number, title, check), and run_all
+numbers, titles and times each check from it.
 """
 
 from __future__ import annotations
@@ -23,19 +25,18 @@ from .chebsets import (
     Congruence,
     FactorizationType,
     GaloisContext,
+    NewformCongruence,
     empirical_density,
     tau_mod_stream,
 )
-from .gapscan import scan, tau_gap_scan
+from .gapscan import GAP_CAP, scan
 from .primes import iter_prime_segments, verify_dusart
 from .sieve import (
     SieveConfig,
     lambda_table,
-    lambda_weight,
     predicted_terms,
     sum_s1,
     sum_s2,
-    support_d_vectors,
     tuple_determinant,
     weight_table,
 )
@@ -71,88 +72,55 @@ class CriterionResult:
         }
 
 
-def _result(number: int, title: str, t0: float, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(number, title, bool(passed), detail, time.time() - t0)
-
-
 # -- 1 -----------------------------------------------------------------------
 
 
-def criterion_1_threshold() -> CriterionResult:
-    t0 = time.time()
-
+def criterion_1_threshold() -> tuple[bool, str]:
     def expr(k: int) -> float:
         return math.log(k) - 2 * math.log(math.log(k)) - 2
 
     first = next(k for k in range(2, 10**4) if expr(k) > 0)
     ok = first == 213 and all(expr(k) <= 0 for k in range(2, 213))
     ok = ok and simplified_mk_bound(212) <= 0 < simplified_mk_bound(213)
-    return _result(
-        1,
-        "positivity threshold of log k - 2 log log k - 2",
-        t0,
-        ok,
-        f"first positive k = {first} (212 -> {expr(212):.2e}, 213 -> {expr(213):.2e})",
-    )
+    return ok, f"first positive k = {first} (212 -> {expr(212):.2e}, 213 -> {expr(213):.2e})"
 
 
 # -- 2 -----------------------------------------------------------------------
 
 
-def criterion_2_abelian_constants() -> CriterionResult:
-    t0 = time.time()
+def criterion_2_abelian_constants() -> tuple[bool, str]:
     got = (gap_bound_abelian(8), gap_bound_abelian(28))
     ok = got == (4800, 16800)
-    return _result(2, "abelian gap constants 600q", t0, ok, f"q=8 -> {got[0]}, q=28 -> {got[1]}")
+    return ok, f"q=8 -> {got[0]}, q=28 -> {got[1]}"
 
 
 # -- 3 -----------------------------------------------------------------------
 
 
-def criterion_3_proof_chain() -> CriterionResult:
-    t0 = time.time()
+def criterion_3_proof_chain() -> tuple[bool, str]:
     rep = verify_theorem1(GaloisContext(6, 6, 1))
     ok = rep.k_chosen == 1_815_500 and rep.proof_ok and rep.k_chosen >= 213
-    return _result(
-        3,
-        "nonabelian proof chain at |G|=|C|=6, disc 1",
-        t0,
-        ok,
-        f"k = {rep.k_chosen}, rk = {rep.rk}, proof_ok = {rep.proof_ok}",
-    )
+    return ok, f"k = {rep.k_chosen}, rk = {rep.rk}, proof_ok = {rep.proof_ok}"
 
 
 # -- 4 -----------------------------------------------------------------------
 
 
-def criterion_4_diameter() -> CriterionResult:
-    t0 = time.time()
+def criterion_4_diameter() -> tuple[bool, str]:
     rep = verify_diameter_bound(213, 10**4)
-    return _result(
-        4,
-        "shifted prime tuple diameter <= 1.6 k log k on [213, 10^4]",
-        t0,
-        rep.ok,
-        f"worst ratio {rep.worst_ratio:.4f}"
-        + ("" if rep.ok else f", first failure k = {rep.first_failure}"),
+    return rep.ok, f"worst ratio {rep.worst_ratio:.4f}" + (
+        "" if rep.ok else f", first failure k = {rep.first_failure}"
     )
 
 
 # -- 5 -----------------------------------------------------------------------
 
 
-def criterion_5_dusart() -> CriterionResult:
-    t0 = time.time()
+def criterion_5_dusart() -> tuple[bool, str]:
     low = verify_dusart(6, 10**5)
     high = verify_dusart(355991, 4 * 10**5)
     ok = low.ok and high.ok
-    return _result(
-        5,
-        "two-sided prime bounds (nth on [6, 1e5]; pi from 355991 to 4e5)",
-        t0,
-        ok,
-        f"nth checked {low.nth_checked + high.nth_checked}, pi checked {high.pi_checked}",
-    )
+    return ok, f"nth checked {low.nth_checked + high.nth_checked}, pi checked {high.pi_checked}"
 
 
 # -- 6 -----------------------------------------------------------------------
@@ -217,8 +185,9 @@ def _mc_integrals(f: SimplexPolynomial, rng: np.random.Generator, samples: int):
     return out
 
 
-def criterion_6_variational_mc(seed: int = 0, polys: int = 50, samples: int = 10**6) -> CriterionResult:
-    t0 = time.time()
+def criterion_6_variational_mc(
+    seed: int = 0, polys: int = 50, samples: int = 10**6
+) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures = 0
@@ -235,13 +204,9 @@ def criterion_6_variational_mc(seed: int = 0, polys: int = 50, samples: int = 10
     one = SimplexPolynomial.one(2)
     exact_ok = rayleigh(one).value == Fraction(4, 3)
     ok = failures == 0 and exact_ok
-    return _result(
-        6,
-        "exact simplex integrals vs Monte Carlo (3 sigma) and rayleigh(1) = 4/3",
-        t0,
-        ok,
+    return ok, (
         f"{polys} polynomials, worst deviation {worst:.2f} sigma, "
-        f"rayleigh(1, k=2) exact: {exact_ok}",
+        f"rayleigh(1, k=2) exact: {exact_ok}"
     )
 
 
@@ -252,8 +217,7 @@ def criterion_6_variational_mc(seed: int = 0, polys: int = 50, samples: int = 10
 M105_MAX_DEGREE = 15
 
 
-def criterion_7_m105() -> CriterionResult:
-    t0 = time.time()
+def criterion_7_m105() -> tuple[bool, str]:
     value = None
     degree_used = None
     for degree in range(11, M105_MAX_DEGREE + 1):
@@ -267,7 +231,7 @@ def criterion_7_m105() -> CriterionResult:
         if ok
         else f"no certificate above 4 up to degree {M105_MAX_DEGREE}"
     )
-    return _result(7, "M_105 > 4 by exact re-certification", t0, ok, detail)
+    return ok, detail
 
 
 # -- 8 and 9: the frozen demo sieve ------------------------------------------
@@ -292,7 +256,7 @@ def _brute_is_prime(n: int) -> bool:
 
 
 def _brute_lambda(d1: int, d2: int, cfg) -> Fraction:
-    # rebuilt from the definitions, sharing nothing with sieve.lambda_weight
+    # rebuilt from the definitions, sharing nothing with sieve.lambda_table
     r_cap = cfg.r_limit
     w = cfg.w_modulus
     d = d1 * d2
@@ -331,7 +295,7 @@ def _brute_divisors(n: int, cap: float) -> list[int]:
     return out
 
 
-def _brute_sums(cfg, spec) -> tuple[Fraction, Fraction]:
+def _brute_sums(cfg) -> tuple[Fraction, Fraction]:
     lam_memo: dict[tuple[int, int], Fraction] = {}
 
     def lam(d1, d2):
@@ -359,31 +323,21 @@ def _brute_sums(cfg, spec) -> tuple[Fraction, Fraction]:
     return s1, s2
 
 
-def criterion_8_sieve_brute_force() -> CriterionResult:
-    t0 = time.time()
+def criterion_8_sieve_brute_force() -> tuple[bool, str]:
     cfg, spec = demo_config()
-    support = support_d_vectors(cfg)
-    lam_ok = all(lambda_weight(d, cfg) == _brute_lambda(d[0], d[1], cfg) for d in support)
+    lam = lambda_table(cfg)
+    lam_ok = all(v == _brute_lambda(d[0], d[1], cfg) for d, v in lam.items())
     off = [(2, 1), (1, 6), (7, 7), (30, 1)]
-    lam_ok = lam_ok and all(
-        lambda_weight(d, cfg) == _brute_lambda(d[0], d[1], cfg) == 0 for d in off
-    )
+    lam_ok = lam_ok and all(lam.get(d, 0) == _brute_lambda(d[0], d[1], cfg) == 0 for d in off)
     table = weight_table(cfg, spec)
     s1 = sum_s1(table)
     s2 = sum_s2(table)
-    bs1, bs2 = _brute_sums(cfg, spec)
+    bs1, bs2 = _brute_sums(cfg)
     ok = lam_ok and s1 == bs1 and s2 == bs2
-    return _result(
-        8,
-        "sieve sums equal an independent exhaustive enumerator",
-        t0,
-        ok,
-        f"S1 = {s1} (brute {bs1}), S2 = {s2} (brute {bs2}), lambda match: {lam_ok}",
-    )
+    return ok, f"S1 = {s1} (brute {bs1}), S2 = {s2} (brute {bs2}), lambda match: {lam_ok}"
 
 
-def criterion_9_sieve_ratio() -> CriterionResult:
-    t0 = time.time()
+def criterion_9_sieve_ratio() -> tuple[bool, str]:
     cfg, spec = demo_config()
     table = weight_table(cfg, spec)
     s1 = sum_s1(table)
@@ -405,21 +359,16 @@ def criterion_9_sieve_ratio() -> CriterionResult:
             inv_ok = inv_ok and math.gcd(d, cfg.w_modulus) == 1
             inv_ok = inv_ok and math.gcd(d, guard) == 1
     ok = ratio_ok and inv_ok
-    return _result(
-        9,
-        "observed S2/S1 within factor 2 of the predicted main-term ratio",
-        t0,
-        ok,
+    return ok, (
         f"observed {observed:.4f}, predicted {predicted:.4f}, factor {factor:.2f}, "
-        f"invariants: {inv_ok}",
+        f"invariants: {inv_ok}"
     )
 
 
 # -- 10 ----------------------------------------------------------------------
 
 
-def criterion_10_density() -> CriterionResult:
-    t0 = time.time()
+def criterion_10_density() -> tuple[bool, str]:
     cubic = FactorizationType(
         (-1, -1, 0, 1), (3,), GaloisContext(6, 2, -23)
     )  # x^3 - x - 1 inert
@@ -427,24 +376,17 @@ def criterion_10_density() -> CriterionResult:
     cong = Congruence(4, {1}, GaloisContext(2, 1, 1, abelian_conductor=4))
     d_cong = float(empirical_density(cong, 10**6))
     ok = abs(d_cubic - 1 / 3) <= 0.02 and abs(d_cong - 0.5) <= 0.01
-    return _result(
-        10,
-        "empirical densities match class sizes (cubic inert 1/3, 1 mod 4 at 1/2)",
-        t0,
-        ok,
-        f"cubic {d_cubic:.5f} (target 1/3), congruence {d_cong:.5f} (target 1/2)",
-    )
+    return ok, f"cubic {d_cubic:.5f} (target 1/3), congruence {d_cong:.5f} (target 1/2)"
 
 
 # -- 11 ----------------------------------------------------------------------
 
 
-def criterion_11_gap_evidence() -> CriterionResult:
-    t0 = time.time()
+def criterion_11_gap_evidence() -> tuple[bool, str]:
     rep = scan(Congruence(8, {3}, GaloisContext(2, 1, 1, abelian_conductor=8)), 10**6, 4800)
     scan_ok = rep.min_gap == 8 and rep.pairs_within_bound >= 100
 
-    tau_rep = tau_gap_scan(691, 10**5)
+    tau_rep = scan(NewformCongruence(691, 0, 1, GaloisContext(1, 1, 1)), 10**5, GAP_CAP)
     stream = tau_mod_stream(691, 10**5)
     sigma_ok = True
     members = 0
@@ -456,21 +398,16 @@ def criterion_11_gap_evidence() -> CriterionResult:
                     sigma_ok = False
     count_ok = members == tau_rep.prime_count
     ok = scan_ok and sigma_ok and count_ok
-    return _result(
-        11,
-        "gap scans: min gap 8 mod 8, tau-vanishing members pass the sigma_11 oracle",
-        t0,
-        ok,
+    return ok, (
         f"min_gap {rep.min_gap} at {rep.min_gap_pair}, pairs {rep.pairs_within_bound}; "
-        f"tau members {tau_rep.prime_count}, sigma11 oracle: {sigma_ok}",
+        f"tau members {tau_rep.prime_count}, sigma11 oracle: {sigma_ok}"
     )
 
 
 # -- 12 ----------------------------------------------------------------------
 
 
-def criterion_12_tau_stream(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+def criterion_12_tau_stream(seed: int = 0) -> tuple[bool, str]:
     limit = 10**4
     stream = tau_mod_stream(691, limit)
     sig = np.zeros(limit + 1, dtype=np.int64)
@@ -493,46 +430,43 @@ def criterion_12_tau_stream(seed: int = 0) -> CriterionResult:
                 if int(s[p * p]) != (int(s[p]) ** 2 - pow(p, 11, d)) % d:
                     hecke_ok = False
     ok = cong_ok and mult_ok and hecke_ok
-    return _result(
-        12,
-        "tau stream: 691 congruence, multiplicativity, Hecke relation at p^2",
-        t0,
-        ok,
-        f"congruence to 1e4: {cong_ok}, multiplicativity: {mult_ok}, Hecke: {hecke_ok}",
-    )
+    return ok, f"congruence to 1e4: {cong_ok}, multiplicativity: {mult_ok}, Hecke: {hecke_ok}"
 
 
 # -- runner -------------------------------------------------------------------
 
 CRITERIA = [
-    (1, criterion_1_threshold),
-    (2, criterion_2_abelian_constants),
-    (3, criterion_3_proof_chain),
-    (4, criterion_4_diameter),
-    (5, criterion_5_dusart),
-    (6, criterion_6_variational_mc),
-    (7, criterion_7_m105),
-    (8, criterion_8_sieve_brute_force),
-    (9, criterion_9_sieve_ratio),
-    (10, criterion_10_density),
-    (11, criterion_11_gap_evidence),
-    (12, criterion_12_tau_stream),
+    (1, "positivity threshold of log k - 2 log log k - 2", criterion_1_threshold),
+    (2, "abelian gap constants 600q", criterion_2_abelian_constants),
+    (3, "nonabelian proof chain at |G|=|C|=6, disc 1", criterion_3_proof_chain),
+    (4, "shifted prime tuple diameter <= 1.6 k log k on [213, 10^4]", criterion_4_diameter),
+    (5, "two-sided prime bounds (nth on [6, 1e5]; pi from 355991 to 4e5)", criterion_5_dusart),
+    (6, "exact simplex integrals vs Monte Carlo (3 sigma) and rayleigh(1) = 4/3",
+     criterion_6_variational_mc),
+    (7, "M_105 > 4 by exact re-certification", criterion_7_m105),
+    (8, "sieve sums equal an independent exhaustive enumerator", criterion_8_sieve_brute_force),
+    (9, "observed S2/S1 within factor 2 of the predicted main-term ratio",
+     criterion_9_sieve_ratio),
+    (10, "empirical densities match class sizes (cubic inert 1/3, 1 mod 4 at 1/2)",
+     criterion_10_density),
+    (11, "gap scans: min gap 8 mod 8, tau-vanishing members pass the sigma_11 oracle",
+     criterion_11_gap_evidence),
+    (12, "tau stream: 691 congruence, multiplicativity, Hecke relation at p^2",
+     criterion_12_tau_stream),
 ]
 
 
 def run_all(quick: bool = False, seed: int = 0) -> list[CriterionResult]:
-    """Every acceptance criterion in order; quick mode skips the optimizer
-    run (criterion 7, about 0.5 s on its first call in a process and 0.2 s
-    after that on a 2-core Xeon, the first call importing scipy)."""
+    """Every criterion of CRITERIA in order, each numbered, titled and timed
+    here; criteria 6 and 12 take the seed. Quick mode skips the optimizer run
+    (criterion 7, about 0.5 s on its first call in a process and 0.2 s after
+    that on a 2-core Xeon, the first call importing scipy)."""
     results = []
-    for number, fn in CRITERIA:
+    for number, title, check in CRITERIA:
+        t0 = time.time()
         if quick and number == 7:
-            results.append(
-                CriterionResult(7, "M_105 > 4 by exact re-certification", True, "skipped (quick mode)", 0.0)
-            )
-            continue
-        if number in (6, 12):
-            results.append(fn(seed=seed))
+            passed, detail = True, "skipped (quick mode)"
         else:
-            results.append(fn())
+            passed, detail = check(seed=seed) if number in (6, 12) else check()
+        results.append(CriterionResult(number, title, bool(passed), detail, time.time() - t0))
     return results

@@ -1,6 +1,14 @@
 import pytest
 
+from chebgaps.chebsets import Congruence, GaloisContext
 from chebgaps.verify import run_all
+
+ALL_PRIMES_CONTEXT = GaloisContext(1, 1, 1, abelian_conductor=1)
+
+
+def all_primes_spec() -> Congruence:
+    """The full set of primes as a degenerate congruence spec (q = 1)."""
+    return Congruence(1, {0}, ALL_PRIMES_CONTEXT)
 
 
 @pytest.fixture(scope="session")

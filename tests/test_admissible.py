@@ -32,12 +32,17 @@ def test_tuple_basics():
     assert hash(Tuple([0, 2])) == hash(Tuple([5, 7]))
     with pytest.raises(ValueError):
         Tuple([0, 0, 2])
+    with pytest.raises(ValueError, match="diameter must be < 2\\^63"):
+        Tuple([0, 2**63])
 
 
 def test_admissibility_known_cases():
     assert is_admissible(Tuple([0, 2, 6]))
     assert is_admissible(Tuple([0, 4, 6]))
     assert not is_admissible(Tuple([0, 1]))  # covers both classes mod 2
+    # decided on h - h_1, so offsets beyond int64 work
+    assert is_admissible(Tuple([10**20, 10**20 + 2]))
+    assert not is_admissible(Tuple([10**20, 10**20 + 1]))
     assert not is_admissible(Tuple([0, 2, 4]))  # covers mod 3
     assert is_admissible(Tuple([0]))
     assert is_admissible(Tuple([0, 2]))

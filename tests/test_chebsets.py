@@ -14,7 +14,6 @@ from chebgaps.chebsets import (
     GaloisContext,
     NewformCongruence,
     QuadFormRep,
-    all_primes_spec,
     empirical_density,
     factorization_type,
     json_int_list,
@@ -25,6 +24,8 @@ from chebgaps.chebsets import (
     tau_mod_stream,
 )
 from chebgaps.primes import sieve_range
+
+from conftest import all_primes_spec
 
 PRIMES_200 = sieve_range(2, 200)
 

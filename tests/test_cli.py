@@ -5,10 +5,12 @@ import pytest
 
 from chebgaps import __version__, cli, sieve
 from chebgaps.admissible import Tuple
-from chebgaps.chebsets import Congruence, GaloisContext, all_primes_spec, spec_from_json
+from chebgaps.chebsets import Congruence, GaloisContext, spec_from_json
 from chebgaps.cli import main
 from chebgaps.gapscan import scan, write_scan_csv
 from chebgaps.sieve import SieveConfig, sum_s1, weight_table
+
+from conftest import all_primes_spec
 
 S3_JSON = {"group_order": 6, "class_size": 6, "discriminant": 1, "abelian_conductor": None}
 MOD8_ABELIAN = {"group_order": 2, "class_size": 1, "discriminant": 1, "abelian_conductor": 8}
@@ -235,6 +237,22 @@ def test_dusart(capsys):
 # -- verify-paper -------------------------------------------------------------------
 
 
+VERIFY_PAPER_TITLES = [
+    "positivity threshold of log k - 2 log log k - 2",
+    "abelian gap constants 600q",
+    "nonabelian proof chain at |G|=|C|=6, disc 1",
+    "shifted prime tuple diameter <= 1.6 k log k on [213, 10^4]",
+    "two-sided prime bounds (nth on [6, 1e5]; pi from 355991 to 4e5)",
+    "exact simplex integrals vs Monte Carlo (3 sigma) and rayleigh(1) = 4/3",
+    "M_105 > 4 by exact re-certification",
+    "sieve sums equal an independent exhaustive enumerator",
+    "observed S2/S1 within factor 2 of the predicted main-term ratio",
+    "empirical densities match class sizes (cubic inert 1/3, 1 mod 4 at 1/2)",
+    "gap scans: min gap 8 mod 8, tau-vanishing members pass the sigma_11 oracle",
+    "tau stream: 691 congruence, multiplicativity, Hecke relation at p^2",
+]
+
+
 def test_verify_paper_quick(capsys, monkeypatch, quick_results):
     # the criteria themselves run once, in the session's quick_results
     def cached(quick, seed):
@@ -247,6 +265,9 @@ def test_verify_paper_quick(capsys, monkeypatch, quick_results):
     payload = out_json(capsys)
     criteria = payload["criteria"]
     assert [c["number"] for c in criteria] == list(range(1, 13))
+    assert [c["title"] for c in criteria] == VERIFY_PAPER_TITLES
+    assert criteria[6]["detail"] == "skipped (quick mode)"
+    assert criteria[6]["elapsed"] == 0.0
     assert sum(1 for c in criteria if c["passed"]) == 11
     assert criteria[8]["passed"] is False
     assert "FAILED criteria: 9" in payload["summary"]
@@ -335,6 +356,12 @@ def test_bad_input_exits_2(tmp_path, capsys):
     bad_tuple = write_json(tmp_path, "sieve_tuple.json", {**d, "tuple": 5})
     assert main(["sieve", "--config", bad_tuple]) == 2
     assert "'tuple' must be a JSON list" in capsys.readouterr().err
+    # a tuple offset beyond int64: the diameter bound, not a numpy overflow
+    wide_tuple = write_json(tmp_path, "sieve_wide_tuple.json", {**d, "tuple": [0, 2**64]})
+    assert main(["sieve", "--config", wide_tuple]) == 2
+    assert "tuple diameter must be < 2^63" in capsys.readouterr().err
+    assert main(["admissible", "--tuple", "0,99999999999999999999"]) == 2
+    assert "tuple diameter must be < 2^63" in capsys.readouterr().err
     for f in ([[5, "1"]], [[[1], None]]):
         bad_f = write_json(tmp_path, "sieve_f.json", {**d, "f": f})
         assert main(["sieve", "--config", bad_f]) == 2

@@ -8,16 +8,18 @@ import pytest
 
 import chebgaps.chebsets as chebsets
 import chebgaps.gapscan as gapscan
-from chebgaps.chebsets import Congruence, GaloisContext, QuadFormRep, all_primes_spec
+from chebgaps.chebsets import Congruence, GaloisContext, NewformCongruence, QuadFormRep
 from chebgaps.cli import main
 from chebgaps.gapscan import (
+    GAP_CAP,
     GapReport,
     REPORT_FIELDS,
     scan,
-    tau_gap_scan,
     write_scan_csv,
 )
 from chebgaps.primes import sieve_cost, sieve_range
+
+from conftest import all_primes_spec
 
 MOD8_CTX = GaloisContext(2, 1, 1, abelian_conductor=8)
 
@@ -309,8 +311,13 @@ def test_gap_report_validation():
 # -- tau congruence scans -----------------------------------------------------------
 
 
+def tau_spec(d):
+    """Primes p with tau(p) = 0 mod d."""
+    return NewformCongruence(d, 0, 1, GaloisContext(1, 1, 1))
+
+
 def test_tau_gap_scan_mod2():
-    r = tau_gap_scan(2, 10**4)
+    r = scan(tau_spec(2), 10**4, GAP_CAP)
     # every odd prime qualifies (tau(n) is odd only at odd squares);
     # p = 2 divides the modulus and is excluded by convention
     assert r.prime_count == 1228
@@ -321,7 +328,7 @@ def test_tau_gap_scan_mod2():
 
 
 def test_tau_gap_scan_mod691():
-    r = tau_gap_scan(691, 10**4)
+    r = scan(tau_spec(691), 10**4, GAP_CAP)
     assert r.prime_count == 3
     assert r.min_gap == 2764
     assert r.min_gap_pair == (5527, 8291)

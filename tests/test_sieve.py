@@ -15,7 +15,6 @@ from chebgaps.chebsets import (
     GaloisContext,
     NewformCongruence,
     QuadFormRep,
-    all_primes_spec,
 )
 from chebgaps.primes import PrimeTable
 from chebgaps.sieve import (
@@ -23,7 +22,6 @@ from chebgaps.sieve import (
     config_from_json,
     default_d0,
     lambda_table,
-    lambda_weight,
     predicted_terms,
     run_to_json,
     s_functional,
@@ -35,7 +33,7 @@ from chebgaps.sieve import (
 )
 from chebgaps.variational import SimplexPolynomial
 
-ALL_PRIMES = GaloisContext(1, 1, 1, abelian_conductor=1)
+from conftest import ALL_PRIMES_CONTEXT as ALL_PRIMES, all_primes_spec
 
 
 def small_config():
@@ -237,16 +235,13 @@ def test_lambda_matches_brute_force():
         for dv, lam in table.items():
             assert lam == brute_lambda(dv, cfg)
     cfg = small_config()
+    table = lambda_table(cfg)
     for dv in support_d_vectors(cfg):
-        assert lambda_weight(dv, cfg) == brute_lambda(dv, cfg)
+        assert table[dv] == brute_lambda(dv, cfg)
     # off support: shares a factor with W, not squarefree, too big
     for dv in [(2, 1), (6, 1), (5, 5), (17, 1), (1, 16), (4, 1)]:
-        assert lambda_weight(dv, cfg) == 0
+        assert table.get(dv, 0) == 0
         assert brute_lambda(dv, cfg) == 0
-    with pytest.raises(ValueError):
-        lambda_weight((1,), cfg)
-    with pytest.raises(ValueError):
-        lambda_weight((0, 1), cfg)
 
 
 def test_lambda_table_evaluates_f_once_per_support_vector(monkeypatch):
@@ -282,7 +277,7 @@ def test_lambda_at_one_is_f_at_origin_sum():
     # d = (1,..,1): sign is 1 and the sum itself must come out positive for
     # the default F = 1 - P1
     cfg = small_config()
-    lam = lambda_weight((1, 1), cfg)
+    lam = lambda_table(cfg)[(1, 1)]
     assert lam == brute_lambda((1, 1), cfg)
     assert lam > 0
 
